@@ -124,17 +124,51 @@ bool NetworkInterface::idle() const {
   return !transport_ || transport_->idle();
 }
 
-int NetworkInterface::scheduledInjectVc() const {
+int NetworkInterface::scheduledInjectVc(unsigned freeMask) const {
   // Strict priority, work-conserving: the class→VC map puts higher classes
   // on higher VCs, so the highest non-empty, non-blocked inject queue wins.
   for (int v = params_.numVCs - 1; v >= 0; --v) {
     if (vcSendQueue_[static_cast<std::size_t>(v)].empty()) continue;
-    const bool space =
-        creditMode() ? vcCredits_[static_cast<std::size_t>(v)] > 0
-                     : toRouter_->vcFree[static_cast<std::size_t>(v)].get();
+    const bool space = creditMode()
+                           ? vcCredits_[static_cast<std::size_t>(v)] > 0
+                           : ((freeMask >> v) & 1u) != 0;
     if (space) return v;
   }
   return -1;
+}
+
+NetworkInterface::PendingSend NetworkInterface::pendingSend(
+    unsigned freeMask) const {
+  // Present the next flit whenever one is pending and the flow control
+  // permits it.  numVCs == 1: a credit (credit mode) or always (handshake,
+  // the ack completes the transfer).  numVCs > 1: the inject VC's
+  // advertised space (on/off level) or an in-hand per-VC credit — the
+  // transfer is then unconditional.  Under qosClasses the inject VC is
+  // picked per cycle by strict class priority over the per-VC queues.
+  PendingSend out;
+  if (params_.qosClasses) {
+    const int v = scheduledInjectVc(freeMask);
+    if (v >= 0) {
+      const OutPacket& packet = vcSendQueue_[static_cast<std::size_t>(v)].front();
+      out.flit = &packet.flits[packet.next];
+      out.vc = v;
+    }
+    return out;
+  }
+  out.vc = vcMode() ? options_.injectVc : 0;
+  bool canSend = !sendQueue_.empty();
+  if (vcMode()) {
+    const auto vi = static_cast<std::size_t>(out.vc);
+    canSend = canSend && (creditMode() ? vcCredits_[vi] > 0
+                                       : ((freeMask >> out.vc) & 1u) != 0);
+  } else if (creditMode()) {
+    canSend = canSend && credits_ > 0;
+  }
+  if (canSend) {
+    const OutPacket& packet = sendQueue_.front();
+    out.flit = &packet.flits[packet.next];
+  }
+  return out;
 }
 
 std::uint32_t NetworkInterface::parityProtect(std::uint32_t word) const {
@@ -243,36 +277,18 @@ void NetworkInterface::send(NodeId dst,
 }
 
 void NetworkInterface::evaluate() {
-  // Send side: present the next flit whenever one is pending and the flow
-  // control permits it.  numVCs == 1: a credit (credit mode) or always
-  // (handshake, the ack completes the transfer).  numVCs > 1: the inject
-  // VC's advertised space (on/off level) or an in-hand per-VC credit — the
-  // transfer is then unconditional.  Under qosClasses the inject VC is
-  // picked per cycle by strict class priority over the per-VC queues.
-  const OutPacket* pending = nullptr;
-  int injectVc = vcMode() ? options_.injectVc : 0;
-  if (params_.qosClasses) {
-    const int v = scheduledInjectVc();
-    injectVc = v >= 0 ? v : 0;
-    if (v >= 0) pending = &vcSendQueue_[static_cast<std::size_t>(v)].front();
-  } else {
-    bool canSend = !sendQueue_.empty();
-    if (vcMode()) {
-      canSend =
-          canSend &&
-          (creditMode()
-               ? vcCredits_[static_cast<std::size_t>(injectVc)] > 0
-               : toRouter_->vcFree[static_cast<std::size_t>(injectVc)].get());
-    } else if (creditMode()) {
-      canSend = canSend && credits_ > 0;
-    }
-    if (canSend) pending = &sendQueue_.front();
+  // Send side.
+  unsigned freeMask = 0;
+  if (vcMode() && !creditMode()) {
+    for (int v = 0; v < params_.numVCs; ++v)
+      if (toRouter_->vcFree[static_cast<std::size_t>(v)].get())
+        freeMask |= 1u << v;
   }
-  if (pending) {
-    const Flit& flit = pending->flits[pending->next];
-    toRouter_->flit.data.set(flit.data);
-    toRouter_->flit.bop.set(flit.bop);
-    toRouter_->flit.eop.set(flit.eop);
+  const PendingSend send = pendingSend(freeMask);
+  if (send.flit) {
+    toRouter_->flit.data.set(send.flit->data);
+    toRouter_->flit.bop.set(send.flit->bop);
+    toRouter_->flit.eop.set(send.flit->eop);
     toRouter_->val.set(true);
   } else {
     toRouter_->flit.data.set(0);
@@ -280,7 +296,7 @@ void NetworkInterface::evaluate() {
     toRouter_->flit.eop.set(false);
     toRouter_->val.set(false);
   }
-  if (vcMode()) toRouter_->vc.set(pending ? injectVc : 0);
+  if (vcMode()) toRouter_->vc.set(send.flit ? send.vc : 0);
 
   // Receive side: always ready.
   if (vcMode()) {
@@ -513,37 +529,123 @@ void NetworkInterface::pumpTransport() {
   }
 }
 
+// --- compiled-kernel lowering ----------------------------------------------
+
+struct NetworkInterface::SendCtx {
+  const NetworkInterface* ni = nullptr;
+  unsigned readMask = 0;  // inject VCs whose vcFree level the op reads
+  sim::Slice free[router::kMaxVCs];
+  std::uint32_t flitWord = 0;
+  sim::Slice val, vc;
+};
+
+namespace {
+
+// Receive-side space levels: unbounded reassembly, so always up.
+struct LevelsCtx {
+  int numVCs = 0;
+  sim::Slice level[router::kMaxVCs];
+};
+
+void raiseLevels(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<LevelsCtx*>(vctx);
+  for (int v = 0; v < c->numVCs; ++v) sim::opPutBit(w, c->level[v], true);
+}
+
+// Credit mode: the arriving flit is consumed at once, so its credit
+// returns on the arriving VC's vcAck line the same cycle.
+struct VcAckCtx {
+  int numVCs = 0;
+  sim::Slice val, vc;
+  sim::Slice ack[router::kMaxVCs];
+};
+
+void returnCredits(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<VcAckCtx*>(vctx);
+  const bool val = sim::opBit(w, c->val);
+  const std::uint32_t vc = sim::opWord32(w, c->vc);
+  for (int v = 0; v < c->numVCs; ++v)
+    sim::opPutBit(w, c->ack[v], val && vc == static_cast<std::uint32_t>(v));
+}
+
+}  // namespace
+
+void NetworkInterface::sendOp(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<SendCtx*>(vctx);
+  unsigned freeMask = 0;
+  for (int v = 0; v < router::kMaxVCs; ++v)
+    if (((c->readMask >> v) & 1u) != 0 && sim::opBit(w, c->free[v]))
+      freeMask |= 1u << v;
+  const PendingSend send = c->ni->pendingSend(freeMask);
+  if (send.flit)
+    sim::opPutFlit(w, c->flitWord, send.flit->data, send.flit->bop,
+                   send.flit->eop);
+  else
+    sim::opPutFlit(w, c->flitWord, 0, false, false);
+  sim::opPutBit(w, c->val, send.flit != nullptr);
+  sim::opPutWord32(w, c->vc,
+                   static_cast<std::uint32_t>(send.flit ? send.vc : 0));
+}
+
 bool NetworkInterface::describe(sim::Lowering& lw) {
-  if (vcMode()) {
-    std::vector<const sim::WireBase*> reads = {&fromRouter_->val,
-                                               &fromRouter_->vc};
-    std::vector<const sim::WireBase*> writes = {
-        &toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
-        &toRouter_->val, &toRouter_->vc};
-    if (!creditMode()) {
-      // QoS injects on any adaptive VC, so evaluate() reads them all;
-      // otherwise only the fixed inject VC's level matters.
-      if (params_.qosClasses) {
-        for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
-          reads.push_back(&toRouter_->vcFree[static_cast<std::size_t>(v)]);
-      } else {
-        reads.push_back(
-            &toRouter_->vcFree[static_cast<std::size_t>(options_.injectVc)]);
-      }
-    }
-    for (int v = 0; v < params_.numVCs; ++v) {
-      writes.push_back(&fromRouter_->vcFree[static_cast<std::size_t>(v)]);
-      if (creditMode())
-        writes.push_back(&fromRouter_->vcAck[static_cast<std::size_t>(v)]);
-    }
-    lw.thunkDeclared(*this, std::move(reads), std::move(writes));
+  if (!vcMode()) {
+    lw.thunkDeclared(*this, {&fromRouter_->val},
+                     {&toRouter_->flit.data, &toRouter_->flit.bop,
+                      &toRouter_->flit.eop, &toRouter_->val,
+                      &fromRouter_->ack});
     lw.edgeCall(*this);
     return true;
   }
-  lw.thunkDeclared(*this, {&fromRouter_->val},
-                   {&toRouter_->flit.data, &toRouter_->flit.bop,
-                    &toRouter_->flit.eop, &toRouter_->val,
-                    &fromRouter_->ack});
+
+  SendCtx send;
+  send.ni = this;
+  std::vector<const sim::WireBase*> sendReads;
+  if (!creditMode()) {
+    // QoS injects on any adaptive VC, so the send side reads them all;
+    // otherwise only the fixed inject VC's level matters.
+    const int first = params_.qosClasses ? options_.escapeVCs
+                                         : options_.injectVc;
+    const int last = params_.qosClasses ? params_.numVCs
+                                        : options_.injectVc + 1;
+    for (int v = first; v < last; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      send.readMask |= 1u << v;
+      send.free[v] = lw.bit(toRouter_->vcFree[vi]);
+      sendReads.push_back(&toRouter_->vcFree[vi]);
+    }
+  }
+  send.flitWord = lw.flitWord(toRouter_->flit.data, toRouter_->flit.bop,
+                              toRouter_->flit.eop);
+  send.val = lw.bit(toRouter_->val);
+  send.vc = lw.word32(toRouter_->vc);
+  lw.op(&sendOp, lw.ctx(send), std::move(sendReads),
+        {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
+         &toRouter_->val, &toRouter_->vc});
+
+  LevelsCtx levels;
+  levels.numVCs = params_.numVCs;
+  std::vector<const sim::WireBase*> levelWrites;
+  for (int v = 0; v < params_.numVCs; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    levels.level[v] = lw.bit(fromRouter_->vcFree[vi]);
+    levelWrites.push_back(&fromRouter_->vcFree[vi]);
+  }
+  lw.op(&raiseLevels, lw.ctx(levels), {}, std::move(levelWrites));
+
+  if (creditMode()) {
+    VcAckCtx ack;
+    ack.numVCs = params_.numVCs;
+    ack.val = lw.bit(fromRouter_->val);
+    ack.vc = lw.word32(fromRouter_->vc);
+    std::vector<const sim::WireBase*> ackWrites;
+    for (int v = 0; v < params_.numVCs; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      ack.ack[v] = lw.bit(fromRouter_->vcAck[vi]);
+      ackWrites.push_back(&fromRouter_->vcAck[vi]);
+    }
+    lw.op(&returnCredits, lw.ctx(ack), {&fromRouter_->val, &fromRouter_->vc},
+          std::move(ackWrites));
+  }
   lw.edgeCall(*this);
   return true;
 }

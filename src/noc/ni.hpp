@@ -183,9 +183,14 @@ class NetworkInterface : public sim::Module {
   /// so the tracer's shadow stream stays aligned with sendQueue_.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
-  /// Compiled-kernel lowering: the NI walks deque/transport state, so it
-  /// stays behavioural — a declared thunk (skipping write discovery so the
-  /// send queue is untouched at compile time) plus a clockEdge() call.
+  /// Compiled-kernel lowering.  numVCs == 1: a declared thunk (skipping
+  /// write discovery so the send queue is untouched at compile time).
+  /// numVCs > 1: three ops — send (the pending flit onto the local input,
+  /// behind the inject VCs' vcFree levels), vcFree (receive-side space
+  /// levels, constant) and, under credit flow control, vcAck (the
+  /// receive-side credit return) — kept apart so no unit both reads the
+  /// local output's val and drives a level that output reads.  The clock
+  /// edge is a clockEdge() call either way.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -202,8 +207,19 @@ class NetworkInterface : public sim::Module {
   int injectVcFor(router::TrafficClass cls) const;
   // QoS: the inject VC evaluate() schedules this cycle, or -1.  Strict
   // priority: highest VC (= highest class) with a pending flit and
-  // downstream space wins.
-  int scheduledInjectVc() const;
+  // downstream space wins.  Bit v of `freeMask` is toRouter vcFree[v].
+  int scheduledInjectVc(unsigned freeMask) const;
+  // The flit the send side presents this cycle (null: none) and its inject
+  // VC, given the settled vcFree levels as in scheduledInjectVc().
+  // evaluate() and the compiled send op share it.
+  struct PendingSend {
+    const router::Flit* flit = nullptr;
+    int vc = 0;
+  };
+  PendingSend pendingSend(unsigned freeMask) const;
+
+  struct SendCtx;
+  static void sendOp(std::uint64_t* words, void* ctx);
   // Packet-completion step shared by the single-queue (numVCs == 1) and
   // per-VC reassembly paths.
   void acceptRxFlit(const router::Flit& flit, std::vector<router::Flit>& buf);

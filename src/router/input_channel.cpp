@@ -318,7 +318,8 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
       numVCs_(params.numVCs),
       escapeVCs_(std::min(geometry.escapeVCs(), params.numVCs)),
       in_(&in),
-      xbar_(&xbar) {
+      xbar_(&xbar),
+      slots_(static_cast<std::size_t>(params.numVCs * params.p)) {
   // evaluate() publishes from the registered FIFOs and reacts to the
   // grant/read nets the output channels drive from their (registered)
   // connection tables.
@@ -335,6 +336,21 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
 void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
+  // Keep the compiled program in step with the edge path metrics select.
+  noteDescribeChanged();
+}
+
+void VcInputChannel::push(int v, const Flit& f) {
+  const auto vi = static_cast<std::size_t>(v);
+  const int tail = (head_[vi] + count_[vi]) % params_.p;
+  slots_[static_cast<std::size_t>(v * params_.p + tail)] = f;
+  ++count_[vi];
+}
+
+void VcInputChannel::pop(int v) {
+  const auto vi = static_cast<std::size_t>(v);
+  head_[vi] = (head_[vi] + 1) % params_.p;
+  --count_[vi];
 }
 
 bool VcInputChannel::popFired(int v) const {
@@ -348,11 +364,12 @@ bool VcInputChannel::popFired(int v) const {
 }
 
 bool VcInputChannel::dequeueFired(int v) const {
-  return !fifo_[static_cast<std::size_t>(v)].empty() && popFired(v);
+  return occupancy(v) > 0 && popFired(v);
 }
 
 void VcInputChannel::onReset() {
-  for (auto& q : fifo_) q.clear();
+  head_.fill(0);
+  count_.fill(0);
   patience_.fill(0);
   occupancySum_.fill(0);
   flitsAccepted_ = 0;
@@ -360,68 +377,69 @@ void VcInputChannel::onReset() {
   overflow_ = false;
 }
 
+VcInputChannel::VcPublish VcInputChannel::publish(int v, int grantedPort) {
+  const auto vi = static_cast<std::size_t>(v);
+  VcPublish out;
+  // Upstream flow control: on/off advertises registered buffer space;
+  // credit mode advertises link-up (the sender counts credits).
+  out.free = creditMode() || count_[vi] < params_.p;
+  out.rok = count_[vi] > 0;
+  if (!out.rok) return out;
+  out.flit = front(v);
+  if (!out.flit.bop) return out;
+
+  // A granted header forwards the RIB consumed for the hop actually
+  // connected — the patience rotation may have moved the bid between
+  // allocation and readout.
+  const Rib rib = decodeRib(out.flit.data, params_.m);
+  Port target;
+  if (grantedPort >= 0) {
+    target = static_cast<Port>(grantedPort);
+  } else {
+    // Adaptive bids request the packet's whole adaptive VC set; under
+    // QoS the header's class tag narrows it to the class's channels.
+    int window = kVcPatienceWindow;
+    unsigned adaptiveMask =
+        ((1u << numVCs_) - 1u) & ~((1u << escapeVCs_) - 1u);
+    if (params_.qosClasses) {
+      const TrafficClass cls = decodeTrafficClass(out.flit.data, params_.m);
+      adaptiveMask = qosVcMask(cls, numVCs_, escapeVCs_);
+      window = qosPatienceWindow(cls);
+    }
+    std::array<VcRouteOption, kNumPorts> options;
+    const int count = vcRouteOptions(geometry_, rib, v >= escapeVCs_,
+                                     params_.routing, adaptiveMask, options);
+    const int idx = std::min(patience_[vi] / window, count - 1);
+    target = options[static_cast<std::size_t>(idx)].port;
+    out.want = options[static_cast<std::size_t>(idx)].want;
+  }
+  out.flit.data = updateHeader(out.flit.data, consumeHop(rib, target),
+                               params_.m) &
+                  dataMask(params_.n);
+  if (target == ownPort_) misroute_ = true;
+  out.reqPort = index(target);
+  return out;
+}
+
 void VcInputChannel::evaluate() {
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     CrossbarWires& xb = (*xbar_)[vi];
-    const auto& q = fifo_[vi];
-    // Upstream flow control: on/off advertises registered buffer space;
-    // credit mode advertises link-up (the sender counts credits) and
-    // pulses the per-VC credit return as the flit leaves the buffer.
-    const bool space = static_cast<int>(q.size()) < params_.p;
-    in_->vcFree[vi].set(creditMode() ? true : space);
-    const bool empty = q.empty();
-    xb.rok.set(!empty);
-    if (creditMode()) in_->vcAck[vi].set(!empty && popFired(v));
-
-    Flit head;
-    if (!empty) head = q.front();
-    const bool headerVisible = !empty && head.bop;
-    Port target = Port::Local;
-    unsigned want = 0;
-    std::uint32_t forwarded = head.data;
-    if (headerVisible) {
-      // A granted header forwards the RIB consumed for the hop actually
-      // connected — the patience rotation may have moved the bid between
-      // allocation and readout.
-      int grantedPort = -1;
-      for (int o = 0; o < kNumPorts; ++o) {
-        if (xb.gnt[static_cast<std::size_t>(o)].get()) grantedPort = o;
-      }
-      const Rib rib = decodeRib(head.data, params_.m);
-      if (grantedPort >= 0) {
-        target = static_cast<Port>(grantedPort);
-      } else {
-        // Adaptive bids request the packet's whole adaptive VC set; under
-        // QoS the header's class tag narrows it to the class's channels.
-        int window = kVcPatienceWindow;
-        unsigned adaptiveMask =
-            ((1u << numVCs_) - 1u) & ~((1u << escapeVCs_) - 1u);
-        if (params_.qosClasses) {
-          const TrafficClass cls =
-              decodeTrafficClass(head.data, params_.m);
-          adaptiveMask = qosVcMask(cls, numVCs_, escapeVCs_);
-          window = qosPatienceWindow(cls);
-        }
-        std::array<VcRouteOption, kNumPorts> options;
-        const int count = vcRouteOptions(geometry_, rib, v >= escapeVCs_,
-                                         params_.routing, adaptiveMask,
-                                         options);
-        const int idx = std::min(patience_[vi] / window, count - 1);
-        target = options[static_cast<std::size_t>(idx)].port;
-        want = options[static_cast<std::size_t>(idx)].want;
-      }
-      forwarded = updateHeader(head.data, consumeHop(rib, target), params_.m) &
-                  dataMask(params_.n);
-      if (target == ownPort_) misroute_ = true;
+    int grantedPort = -1;
+    for (int o = 0; o < kNumPorts; ++o) {
+      if (xb.gnt[static_cast<std::size_t>(o)].get()) grantedPort = o;
     }
+    const VcPublish p = publish(v, grantedPort);
+    in_->vcFree[vi].set(p.free);
+    xb.rok.set(p.rok);
+    // Credit mode pulses the per-VC credit return as the flit leaves.
+    if (creditMode()) in_->vcAck[vi].set(p.rok && popFired(v));
     for (int o = 0; o < kNumPorts; ++o)
-      xb.req[static_cast<std::size_t>(o)].set(headerVisible &&
-                                              o == index(target));
-    xb.want.set(static_cast<int>(want));
-    xb.flit.data.set(forwarded);
-    xb.flit.bop.set(head.bop);
-    xb.flit.eop.set(head.eop);
+      xb.req[static_cast<std::size_t>(o)].set(o == p.reqPort);
+    xb.want.set(static_cast<int>(p.want));
+    xb.flit.data.set(p.flit.data);
+    xb.flit.bop.set(p.flit.bop);
+    xb.flit.eop.set(p.flit.eop);
   }
 }
 
@@ -431,9 +449,7 @@ void VcInputChannel::clockEdge() {
   // control — recorded sticky, never overwritten silently.
   if (in_->val.get()) {
     const int v = in_->vc.get();
-    if (v < 0 || v >= numVCs_ ||
-        static_cast<int>(fifo_[static_cast<std::size_t>(v)].size()) >=
-            params_.p) {
+    if (v < 0 || v >= numVCs_ || occupancy(v) >= params_.p) {
       overflow_ = true;
     } else {
       Flit f;
@@ -441,7 +457,7 @@ void VcInputChannel::clockEdge() {
       f.bop = in_->flit.bop.get();
       f.eop = in_->flit.eop.get();
       f.vc = v;
-      fifo_[static_cast<std::size_t>(v)].push_back(f);
+      push(v, f);
       ++flitsAccepted_;
       if (metricsAttached_ && metrics_.flitsAccepted)
         metrics_.flitsAccepted->inc();
@@ -452,27 +468,28 @@ void VcInputChannel::clockEdge() {
   bool anyStall = false;
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
-    auto& q = fifo_[vi];
+    const bool read = popFired(v);
     // A pop strobe can only refer to a flit that was at the head pre-edge,
     // so popping after the accept push is safe: the push appended to the
     // back, and an empty pre-edge FIFO never had rd granted.
-    if (dequeueFired(v)) q.pop_front();
+    if (read && count_[vi] > 0) pop(v);
 
     bool granted = false;
     for (int o = 0; o < kNumPorts; ++o)
       granted = granted ||
                 (*xbar_)[vi].gnt[static_cast<std::size_t>(o)].get();
-    if (!q.empty() && q.front().bop && !granted) {
+    const int depth = count_[vi];
+    if (depth > 0 && front(v).bop && !granted) {
       if (patience_[vi] < kVcPatienceCap) ++patience_[vi];
     } else {
       patience_[vi] = 0;
     }
 
-    occupancySum_[vi] += q.size();
-    anyFull = anyFull || static_cast<int>(q.size()) >= params_.p;
-    anyStall = anyStall || (!q.empty() && !popFired(v));
+    occupancySum_[vi] += static_cast<std::uint64_t>(depth);
+    anyFull = anyFull || depth >= params_.p;
+    anyStall = anyStall || (depth > 0 && !read);
     if (metricsAttached_ && metrics_.occupancy[vi])
-      metrics_.occupancy[vi]->observe(static_cast<double>(q.size()));
+      metrics_.occupancy[vi]->observe(static_cast<double>(depth));
   }
   if (metricsAttached_) {
     if (metrics_.fullCycles && anyFull) metrics_.fullCycles->inc();
@@ -480,26 +497,101 @@ void VcInputChannel::clockEdge() {
   }
 }
 
+// --- compiled-kernel lowering ----------------------------------------------
+//
+// Every combinational output of the channel is a function of registered
+// state plus the crossbar grant/read lines, and the output channels drive
+// the grant lines from their registered connection tables alone
+// (VcOutputChannel's grant op reads no wire).  Splitting the channel at
+// that register boundary, per VC, is what lets a VC network levelize:
+//
+//   publish[v] - vcFree[v], rok, req, want and the forwarded flit, from
+//                VC v's ring and patience counter plus its own gnt lines.
+//   credit[v]  - (credit flow control) vcAck[v] = head leaves this edge,
+//                from gnt & rd.  Kept out of publish: rd comes from the
+//                output channels' schedule ops, which read this VC's rok,
+//                so a fused unit would close a cycle inside the router.
+
+struct VcInputChannel::PublishCtx {
+  VcInputChannel* ch = nullptr;
+  int v = 0;
+  sim::Slice gnt[kNumPorts];
+  sim::Slice free, rok, want;
+  std::uint32_t flitWord = 0;
+  sim::Slice req[kNumPorts];
+};
+
+namespace {
+
+struct VcCreditCtx {
+  const int* count = nullptr;  // the VC's registered occupancy
+  sim::Slice gnt[kNumPorts], rd[kNumPorts];
+  sim::Slice ack;
+};
+
+void vcCreditReturn(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<VcCreditCtx*>(vctx);
+  bool read = false;
+  for (int o = 0; o < kNumPorts; ++o)
+    read = read || (sim::opBit(w, c->gnt[o]) && sim::opBit(w, c->rd[o]));
+  sim::opPutBit(w, c->ack, read && *c->count > 0);
+}
+
+}  // namespace
+
+void VcInputChannel::publishOp(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<PublishCtx*>(vctx);
+  int grantedPort = -1;
+  for (int o = 0; o < kNumPorts; ++o)
+    if (sim::opBit(w, c->gnt[o])) grantedPort = o;
+  const VcPublish p = c->ch->publish(c->v, grantedPort);
+  sim::opPutBit(w, c->free, p.free);
+  sim::opPutBit(w, c->rok, p.rok);
+  for (int o = 0; o < kNumPorts; ++o)
+    sim::opPutBit(w, c->req[o], o == p.reqPort);
+  sim::opPutWord32(w, c->want, p.want);
+  sim::opPutFlit(w, c->flitWord, p.flit.data, p.flit.bop, p.flit.eop);
+}
+
 bool VcInputChannel::describe(sim::Lowering& lw) {
-  std::vector<const sim::WireBase*> reads;
-  std::vector<const sim::WireBase*> writes;
   for (int v = 0; v < numVCs_; ++v) {
-    CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
+    const auto vi = static_cast<std::size_t>(v);
+    CrossbarWires& xb = (*xbar_)[vi];
+    std::vector<const sim::WireBase*> gnt;
+    for (int o = 0; o < kNumPorts; ++o)
+      gnt.push_back(&xb.gnt[static_cast<std::size_t>(o)]);
+
+    PublishCtx pub;
+    pub.ch = this;
+    pub.v = v;
     for (int o = 0; o < kNumPorts; ++o) {
-      reads.push_back(&xb.gnt[static_cast<std::size_t>(o)]);
-      reads.push_back(&xb.rd[static_cast<std::size_t>(o)]);
+      pub.gnt[o] = lw.bit(xb.gnt[static_cast<std::size_t>(o)]);
+      pub.req[o] = lw.bit(xb.req[static_cast<std::size_t>(o)]);
     }
-    writes.push_back(&in_->vcFree[static_cast<std::size_t>(v)]);
-    if (creditMode()) writes.push_back(&in_->vcAck[static_cast<std::size_t>(v)]);
-    writes.push_back(&xb.rok);
-    writes.push_back(&xb.want);
-    writes.push_back(&xb.flit.data);
-    writes.push_back(&xb.flit.bop);
-    writes.push_back(&xb.flit.eop);
+    pub.free = lw.bit(in_->vcFree[vi]);
+    pub.rok = lw.bit(xb.rok);
+    pub.want = lw.word32(xb.want);
+    pub.flitWord = lw.flitWord(xb.flit.data, xb.flit.bop, xb.flit.eop);
+    std::vector<const sim::WireBase*> writes = {
+        &in_->vcFree[vi], &xb.rok,      &xb.want,
+        &xb.flit.data,    &xb.flit.bop, &xb.flit.eop};
     for (int o = 0; o < kNumPorts; ++o)
       writes.push_back(&xb.req[static_cast<std::size_t>(o)]);
+    lw.op(&publishOp, lw.ctx(pub), gnt, std::move(writes));
+
+    if (!creditMode()) continue;
+    VcCreditCtx credit;
+    credit.count = &count_[vi];
+    std::vector<const sim::WireBase*> reads = gnt;
+    for (int o = 0; o < kNumPorts; ++o) {
+      credit.gnt[o] = pub.gnt[o];
+      credit.rd[o] = lw.bit(xb.rd[static_cast<std::size_t>(o)]);
+      reads.push_back(&xb.rd[static_cast<std::size_t>(o)]);
+    }
+    credit.ack = lw.bit(in_->vcAck[vi]);
+    lw.op(&vcCreditReturn, lw.ctx(credit), std::move(reads),
+          {&in_->vcAck[vi]});
   }
-  lw.thunkDeclared(*this, std::move(reads), std::move(writes));
   lw.edgeCall(*this);
   return true;
 }

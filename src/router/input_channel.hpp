@@ -6,15 +6,15 @@
 /// VcInputChannel is the numVCs > 1 variant: the FIFO + routing (IRS) state
 /// is replicated per virtual channel, flits are demultiplexed by the
 /// channel's vc wire, and flow control switches to per-VC on/off (vcFree
-/// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.  It
-/// is a monolithic behavioural module (compiled-kernel lowering by declared
-/// thunk, like the network interface) so the numVCs == 1 fused lowering and
-/// its pinned goldens stay byte-identical.
+/// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.  The
+/// compiled kernel lowers it to one publish op per VC (plus, under credit
+/// flow control, one credit-return op per VC); its clock edge stays a
+/// behavioural clockEdge() call.
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
@@ -137,9 +137,7 @@ class VcInputChannel : public sim::Module {
 
   /// Registered per-VC occupancy (flits buffered), for credit-conservation
   /// checks and occupancy heatmaps.
-  int occupancy(int v) const {
-    return static_cast<int>(fifo_[static_cast<std::size_t>(v)].size());
-  }
+  int occupancy(int v) const { return count_[static_cast<std::size_t>(v)]; }
   /// Per-cycle running sum of occupancy(v), for time-averaged depth.
   std::uint64_t occupancySum(int v) const {
     return occupancySum_[static_cast<std::size_t>(v)];
@@ -160,8 +158,10 @@ class VcInputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcInputChannelMetrics& metrics);
 
-  /// Behavioural thunk with declared reads/writes (the per-VC FIFOs are
-  /// registered state walked directly), plus a clockEdge() call.
+  /// Compiled-kernel lowering: per VC, a publish op (reads only that VC's
+  /// grant lines) and, under credit flow control, a credit-return op (reads
+  /// its grant and read lines); plus a clockEdge() call
+  /// (router/input_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -176,6 +176,30 @@ class VcInputChannel : public sim::Module {
   // Pop strobe computed from the settled crossbar wires.
   bool popFired(int v) const;
 
+  // One VC's combinational outputs, a function of its registered FIFO and
+  // patience state and of the input port its settled grant lines name
+  // (-1: none).  evaluate() and the compiled publish op both drive their
+  // wires from this, so every kernel computes the same function.
+  struct VcPublish {
+    bool free = false;  // vcFree level
+    bool rok = false;
+    int reqPort = -1;   // output port requested, -1 when none
+    unsigned want = 0;  // VC-allocation request mask
+    Flit flit;          // head flit, header RIB updated for the hop
+  };
+  VcPublish publish(int v, int grantedPort);
+
+  // Ring-buffer access to VC v's FIFO.
+  const Flit& front(int v) const {
+    return slots_[static_cast<std::size_t>(v * params_.p +
+                                           head_[static_cast<std::size_t>(v)])];
+  }
+  void push(int v, const Flit& f);
+  void pop(int v);
+
+  struct PublishCtx;
+  static void publishOp(std::uint64_t* words, void* ctx);
+
   RouterParams params_;
   Port ownPort_;
   FlowControl flowControl_;
@@ -186,8 +210,12 @@ class VcInputChannel : public sim::Module {
   ChannelWires* in_;
   std::array<CrossbarWires, kMaxVCs>* xbar_;
 
-  // Registered per-VC state.
-  std::array<std::deque<Flit>, kMaxVCs> fifo_;
+  // Registered per-VC state.  The FIFOs are p-deep rings in one backing
+  // store (VC v owns slots [v*p, (v+1)*p)), allocated once at construction
+  // so the compiled ops can read them through raw pointers.
+  std::vector<Flit> slots_;
+  std::array<int, kMaxVCs> head_{};
+  std::array<int, kMaxVCs> count_{};
   std::array<int, kMaxVCs> patience_{};
 
   std::uint64_t flitsAccepted_ = 0;

@@ -90,6 +90,17 @@ struct LinkRevCtx {
   sim::Slice srcAck, dstAck;
 };
 
+struct LinkVcFwdCtx {
+  LinkFwdCtx fwd;
+  sim::Slice srcVc, dstVc;
+};
+
+// One upstream per-VC level family (vcFree or vcAck).
+struct LinkVcRevCtx {
+  int numVCs = 0;
+  sim::Slice src[kMaxVCs], dst[kMaxVCs];
+};
+
 struct LinkEdgeCtx {
   sim::Slice srcVal, srcAck;
   bool handshake = true;
@@ -105,6 +116,18 @@ void linkForward(std::uint64_t* w, void* vctx) {
 void linkReverse(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<LinkRevCtx*>(vctx);
   sim::opPutBit(w, c->srcAck, sim::opBit(w, c->dstAck));
+}
+
+void linkVcForward(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<LinkVcFwdCtx*>(vctx);
+  linkForward(w, &c->fwd);
+  sim::opPutWord32(w, c->dstVc, sim::opWord32(w, c->srcVc));
+}
+
+void linkVcReverse(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<LinkVcRevCtx*>(vctx);
+  for (int v = 0; v < c->numVCs; ++v)
+    sim::opPutBit(w, c->src[v], sim::opBit(w, c->dst[v]));
 }
 
 void linkEdge(std::uint64_t* w, void* vctx) {
@@ -123,45 +146,71 @@ bool Link::describe(sim::Lowering& lw) {
   // behavioural thunks instead.
   if (typeid(*this) != typeid(Link)) return false;
 
-  if (numVCs_ > 1) {
-    // VC links lower as a declared behavioural thunk plus an edge call;
-    // the numVCs == 1 fused ops below stay byte-identical.
-    std::vector<const sim::WireBase*> reads = {
-        &src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
-        &src_->vc};
-    std::vector<const sim::WireBase*> writes = {
-        &dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
-        &dst_->vc};
-    for (int v = 0; v < numVCs_; ++v) {
-      reads.push_back(&dst_->vcFree[static_cast<std::size_t>(v)]);
-      reads.push_back(&dst_->vcAck[static_cast<std::size_t>(v)]);
-      writes.push_back(&src_->vcFree[static_cast<std::size_t>(v)]);
-      writes.push_back(&src_->vcAck[static_cast<std::size_t>(v)]);
-    }
-    lw.thunkDeclared(*this, std::move(reads), std::move(writes));
-    lw.edgeCall(*this);
-    return true;
-  }
-
   LinkFwdCtx fwd;
   fwd.srcWord = lw.flitWord(src_->flit.data, src_->flit.bop, src_->flit.eop);
   fwd.dstWord = lw.flitWord(dst_->flit.data, dst_->flit.bop, dst_->flit.eop);
   fwd.srcVal = lw.bit(src_->val);
   fwd.dstVal = lw.bit(dst_->val);
-  lw.op(&linkForward, lw.ctx(fwd),
-        {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val},
-        {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val});
+  std::vector<const sim::WireBase*> fwdReads = {
+      &src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val};
+  std::vector<const sim::WireBase*> fwdWrites = {
+      &dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val};
+
+  LinkEdgeCtx edge;
+  edge.srcVal = fwd.srcVal;
+  edge.flits = &flitsTransferred_;
+
+  if (numVCs_ > 1) {
+    // VC mode: the vc tag rides the forward copy; upstream, vcFree and
+    // vcAck are separate copies.  vcAck depends on the receiving router's
+    // scheduler, which reads the next link's vcFree, so one fused reverse
+    // unit would chain every link's reverse path to its successor's and
+    // close a cycle around any loop of links.  Handshake mode never drives
+    // vcAck (transfers are unconditional once scheduled), so it has no
+    // copy there; the ack wire is unused either way.
+    LinkVcFwdCtx vfwd;
+    vfwd.fwd = fwd;
+    vfwd.srcVc = lw.word32(src_->vc);
+    vfwd.dstVc = lw.word32(dst_->vc);
+    fwdReads.push_back(&src_->vc);
+    fwdWrites.push_back(&dst_->vc);
+    lw.op(&linkVcForward, lw.ctx(vfwd), std::move(fwdReads),
+          std::move(fwdWrites));
+
+    auto reverse = [&](std::array<sim::Wire<bool>, kMaxVCs>& srcLevels,
+                       std::array<sim::Wire<bool>, kMaxVCs>& dstLevels) {
+      LinkVcRevCtx rev;
+      rev.numVCs = numVCs_;
+      std::vector<const sim::WireBase*> reads;
+      std::vector<const sim::WireBase*> writes;
+      for (int v = 0; v < numVCs_; ++v) {
+        const auto vi = static_cast<std::size_t>(v);
+        rev.src[v] = lw.bit(srcLevels[vi]);
+        rev.dst[v] = lw.bit(dstLevels[vi]);
+        reads.push_back(&dstLevels[vi]);
+        writes.push_back(&srcLevels[vi]);
+      }
+      lw.op(&linkVcReverse, lw.ctx(rev), std::move(reads), std::move(writes));
+    };
+    reverse(src_->vcFree, dst_->vcFree);
+    if (flowControl_ == FlowControl::CreditBased)
+      reverse(src_->vcAck, dst_->vcAck);
+
+    // With VCs a scheduled flit always transfers.
+    edge.handshake = false;
+    lw.edgeOp(&linkEdge, lw.ctx(edge));
+    return true;
+  }
+
+  lw.op(&linkForward, lw.ctx(fwd), std::move(fwdReads), std::move(fwdWrites));
 
   LinkRevCtx rev;
   rev.srcAck = lw.bit(src_->ack);
   rev.dstAck = lw.bit(dst_->ack);
   lw.op(&linkReverse, lw.ctx(rev), {&dst_->ack}, {&src_->ack});
 
-  LinkEdgeCtx edge;
-  edge.srcVal = fwd.srcVal;
   edge.srcAck = rev.srcAck;
   edge.handshake = flowControl_ == FlowControl::Handshake;
-  edge.flits = &flitsTransferred_;
   lw.edgeOp(&linkEdge, lw.ctx(edge));
   return true;
 }

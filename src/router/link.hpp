@@ -55,10 +55,11 @@ class Link : public sim::Module {
            src_->val.get() && !src_->ack.get();
   }
 
-  /// Compiled-kernel lowering: a plain link is two masked word copies (flit
-  /// + val downstream, ack upstream) and a counting edge op.  Subclasses
-  /// with fault behaviour fall back to behavioural thunks (link.cpp guards
-  /// on the dynamic type).
+  /// Compiled-kernel lowering: a plain link is masked word copies — flit +
+  /// val (+ vc) downstream; ack, or with VCs the vcFree levels and (credit
+  /// mode) the vcAck pulses as two separate copies, upstream — and a
+  /// counting edge op.  Subclasses with fault behaviour fall back to
+  /// behavioural thunks (link.cpp guards on the dynamic type).
   bool describe(sim::Lowering& lw) override;
 
  protected:

@@ -1,26 +1,13 @@
 #include "router/ors.hpp"
 
+#include <bit>
+
 namespace rasoc::router {
 
-int vcArbitrate(
-    const std::array<std::array<CrossbarWires, kMaxVCs>, kNumPorts>& xbar,
-    int numVCs, Port ownPort, int downVc, int rrStart,
-    const std::array<bool, kNumPorts * kMaxVCs>& consumed) {
-  const int own = index(ownPort);
-  const int slots = kNumPorts * kMaxVCs;
-  for (int step = 0; step < slots; ++step) {
-    const int slot = (rrStart + step) % slots;
-    const int inPort = slot / kMaxVCs;
-    const int inVc = slot % kMaxVCs;
-    if (inPort == own || inVc >= numVCs) continue;
-    if (consumed[static_cast<std::size_t>(slot)]) continue;
-    const CrossbarWires& src =
-        xbar[static_cast<std::size_t>(inPort)][static_cast<std::size_t>(inVc)];
-    if (!src.req[static_cast<std::size_t>(own)].get()) continue;
-    const unsigned want = static_cast<unsigned>(src.want.get());
-    if ((want >> downVc) & 1u) return slot;
-  }
-  return -1;
+int vcArbitrate(std::uint32_t candidates, int rrStart) {
+  if (candidates == 0) return -1;
+  const std::uint32_t ahead = candidates & (~std::uint32_t{0} << rrStart);
+  return std::countr_zero(ahead != 0 ? ahead : candidates);
 }
 
 }  // namespace rasoc::router

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
@@ -48,18 +49,15 @@ class Ors : public sim::Module {
 // --- VC-aware round-robin arbitration (numVCs > 1) -------------------------
 //
 // Allocates one idle downstream VC among the (input port, input VC)
-// requesters bidding for this output.  A requester matches downstream VC
-// `downVc` when bit `downVc` of its `want` mask is set — a one-bit mask for
-// escape traffic requesting its dateline class, the adaptive set (or the
-// class's qosVcMask() subset under RouterParams::qosClasses) for adaptive
-// headers.  The scan is round-robin over the flattened (port, VC) slot
-// space starting at `rrStart`; slots marked in `consumed` (already holding
-// a connection, or granted earlier this same edge) are skipped so one input
-// VC never acquires two downstream VCs.  Returns the chosen slot
-// (inPort * kMaxVCs + inVc) or -1.
-int vcArbitrate(
-    const std::array<std::array<CrossbarWires, kMaxVCs>, kNumPorts>& xbar,
-    int numVCs, Port ownPort, int downVc, int rrStart,
-    const std::array<bool, kNumPorts * kMaxVCs>& consumed);
+// requesters bidding for this output.  `candidates` has bit
+// inPort * kMaxVCs + inVc set for every requester that may take the VC: it
+// requests this output, bit `downVc` of its `want` mask is set (a one-bit
+// mask for escape traffic requesting its dateline class, the adaptive set —
+// or the class's qosVcMask() subset under RouterParams::qosClasses — for
+// adaptive headers), and it neither holds a connection nor was granted
+// earlier the same edge, so one input VC never acquires two downstream VCs.
+// The pick is round-robin over the flattened (port, VC) slot space starting
+// at `rrStart`.  Returns the chosen slot or -1.
+int vcArbitrate(std::uint32_t candidates, int rrStart);
 
 }  // namespace rasoc::router

@@ -283,6 +283,9 @@ bool OutputChannel::describe(sim::Lowering& lw) {
 
 // --- VcOutputChannel -------------------------------------------------------
 
+// (input port, input VC) slots are tracked as bits of 32-bit masks.
+static_assert(kNumPorts * kMaxVCs <= 32);
+
 VcOutputChannel::VcOutputChannel(
     std::string name, const RouterParams& params, Port ownPort,
     VcGeometry geometry,
@@ -315,6 +318,8 @@ VcOutputChannel::VcOutputChannel(
 void VcOutputChannel::attachMetrics(const VcOutputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
+  // Keep the compiled program in step with the edge path metrics select.
+  noteDescribeChanged();
 }
 
 void VcOutputChannel::onReset() {
@@ -338,6 +343,35 @@ bool VcOutputChannel::schedulable(int d) const {
   return true;
 }
 
+std::uint32_t VcOutputChannel::grantMask() const {
+  std::uint32_t granted = 0;
+  for (int d = 0; d < numVCs_; ++d) {
+    const Conn& c = conn_[static_cast<std::size_t>(d)];
+    if (c.active) granted |= 1u << (c.inPort * kMaxVCs + c.inVc);
+  }
+  return granted;
+}
+
+int VcOutputChannel::pickScheduled(unsigned ready) const {
+  auto isReady = [&](int d) { return ((ready >> d) & 1u) != 0; };
+  if (params_.qosClasses) {
+    int sched = -1;
+    int starved = -1;
+    for (int d = numVCs_ - 1; d >= 0; --d) {
+      if (!isReady(d)) continue;
+      if (sched < 0) sched = d;
+      if (starve_[static_cast<std::size_t>(d)] >= kQosStarvationWindow)
+        starved = d;  // descending loop: the last hit is the lowest index
+    }
+    return starved >= 0 ? starved : sched;
+  }
+  for (int step = 0; step < numVCs_; ++step) {
+    const int d = (schedRR_ + step) % numVCs_;
+    if (isReady(d)) return d;
+  }
+  return -1;
+}
+
 void VcOutputChannel::evaluate() {
   const int own = index(ownPort_);
 
@@ -354,37 +388,22 @@ void VcOutputChannel::evaluate() {
   // on higher VCs) unless some VC's starvation counter crossed
   // kQosStarvationWindow, in which case the lowest-index starved VC wins so
   // escape VCs are always served within a bounded interval.
-  int sched = -1;
-  if (params_.qosClasses) {
-    int starved = -1;
-    for (int d = numVCs_ - 1; d >= 0; --d) {
-      if (!schedulable(d)) continue;
-      if (sched < 0) sched = d;
-      if (starve_[static_cast<std::size_t>(d)] >= kQosStarvationWindow)
-        starved = d;  // descending loop: the last hit is the lowest index
-    }
-    if (starved >= 0) sched = starved;
-  } else {
-    for (int step = 0; step < numVCs_ && sched < 0; ++step) {
-      const int d = (schedRR_ + step) % numVCs_;
-      if (schedulable(d)) sched = d;
-    }
-  }
+  unsigned ready = 0;
+  for (int d = 0; d < numVCs_; ++d)
+    if (schedulable(d)) ready |= 1u << d;
+  const int sched = pickScheduled(ready);
   const Conn* sc =
       sched >= 0 ? &conn_[static_cast<std::size_t>(sched)] : nullptr;
 
   // Publish grants from the registered connection table and the read strobe
   // of the scheduled source (all other strobes low).
+  const std::uint32_t granted = grantMask();
   for (int i = 0; i < kNumPorts; ++i) {
     for (int v = 0; v < numVCs_; ++v) {
       CrossbarWires& x =
           (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-      bool granted = false;
-      for (int d = 0; d < numVCs_; ++d) {
-        const Conn& c = conn_[static_cast<std::size_t>(d)];
-        granted = granted || (c.active && c.inPort == i && c.inVc == v);
-      }
-      x.gnt[static_cast<std::size_t>(own)].set(granted);
+      x.gnt[static_cast<std::size_t>(own)].set(
+          ((granted >> (i * kMaxVCs + v)) & 1u) != 0);
       x.rd[static_cast<std::size_t>(own)].set(sc && sc->inPort == i &&
                                               sc->inVc == v);
     }
@@ -445,14 +464,29 @@ void VcOutputChannel::clockEdge() {
   }
 
   // 3. Allocation: hand each idle downstream VC to a matching requester.
-  //    consumed[] starts from the surviving connections and accumulates
-  //    within this edge so one input VC never acquires two downstream VCs.
-  std::array<bool, kNumPorts * kMaxVCs> consumed{};
-  for (int d = 0; d < numVCs_; ++d) {
-    const Conn& c = conn_[static_cast<std::size_t>(d)];
-    if (c.active)
-      consumed[static_cast<std::size_t>(c.inPort * kMaxVCs + c.inVc)] = true;
-  }
+  //    `consumed` (bit inPort * kMaxVCs + inVc) starts from the surviving
+  //    connections and accumulates within this edge so one input VC never
+  //    acquires two downstream VCs.  The requests are read once, on the
+  //    first downstream VC that needs them: bids[d] holds every input VC
+  //    bidding this output whose want mask includes d.
+  std::uint32_t consumed = grantMask();
+  std::array<std::uint32_t, kMaxVCs> bids{};
+  bool bidsRead = false;
+  auto readBids = [&] {
+    bidsRead = true;
+    for (int i = 0; i < kNumPorts; ++i) {
+      if (i == own) continue;
+      for (int v = 0; v < numVCs_; ++v) {
+        const CrossbarWires& x =
+            (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
+        if (!x.req[static_cast<std::size_t>(own)].get()) continue;
+        const auto want = static_cast<unsigned>(x.want.get());
+        for (int d = 0; d < numVCs_; ++d)
+          if ((want >> d) & 1u)
+            bids[static_cast<std::size_t>(d)] |= 1u << (i * kMaxVCs + v);
+      }
+    }
+  };
   int grantsIssued = 0;
   const int slots = kNumPorts * kMaxVCs;
   for (int d = 0; d < numVCs_; ++d) {
@@ -466,13 +500,13 @@ void VcOutputChannel::clockEdge() {
     // way).  Keeping the header unallocated keeps its escape bid alive.
     if (!out_->vcFree[static_cast<std::size_t>(d)].get()) continue;
     if (creditMode() && !credits_.available(d)) continue;
-    const int slot = vcArbitrate(*xbar_, numVCs_, ownPort_, d,
-                                 rrNext_[static_cast<std::size_t>(d)],
-                                 consumed);
+    if (!bidsRead) readBids();
+    const int slot = vcArbitrate(bids[static_cast<std::size_t>(d)] & ~consumed,
+                                 rrNext_[static_cast<std::size_t>(d)]);
     if (slot < 0) continue;
     conn_[static_cast<std::size_t>(d)] = {true, slot / kMaxVCs,
                                           slot % kMaxVCs};
-    consumed[static_cast<std::size_t>(slot)] = true;
+    consumed |= 1u << slot;
     rrNext_[static_cast<std::size_t>(d)] = (slot + 1) % slots;
     ++grantsIssued;
   }
@@ -488,7 +522,7 @@ void VcOutputChannel::clockEdge() {
               (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(
                   v)];
           waiting = x.req[static_cast<std::size_t>(own)].get() &&
-                    !consumed[static_cast<std::size_t>(i * kMaxVCs + v)];
+                    ((consumed >> (i * kMaxVCs + v)) & 1u) == 0;
         }
       }
       if (waiting) metrics_.conflictCycles->inc();
@@ -496,30 +530,111 @@ void VcOutputChannel::clockEdge() {
   }
 }
 
+// --- compiled-kernel lowering ----------------------------------------------
+//
+// The channel splits at the same register boundary the hardware has
+// between VC allocation and link scheduling:
+//
+//   grant    - gnt[own] of every (input port, input VC) from the registered
+//              connection table.  It reads no wire, so it levelizes to the
+//              front and the input channels' publish ops can depend on it.
+//   schedule - the link scheduler: reads the connected sources' rok and
+//              flit and the downstream vcFree levels, drives the read
+//              strobes and the output flit/vc/val.
+//
+// Fused, the two would make every input channel's publish (which reads
+// gnt) depend on its own rok through the scheduler — the cycle that kept
+// whole VC networks in one iterated segment.
+
+struct VcOutputChannel::GrantCtx {
+  const VcOutputChannel* ch = nullptr;
+  sim::Slice gnt[kNumPorts][kMaxVCs];
+};
+
+struct VcOutputChannel::ScheduleCtx {
+  const VcOutputChannel* ch = nullptr;
+  sim::Slice rok[kNumPorts][kMaxVCs];
+  std::uint32_t xWord[kNumPorts][kMaxVCs] = {};
+  sim::Slice rd[kNumPorts][kMaxVCs];
+  sim::Slice vcFree[kMaxVCs];
+  std::uint32_t outWord = 0;
+  sim::Slice outVc, outVal;
+};
+
+void VcOutputChannel::grantOp(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<const GrantCtx*>(vctx);
+  const VcOutputChannel& ch = *c->ch;
+  const std::uint32_t granted = ch.grantMask();
+  for (int i = 0; i < kNumPorts; ++i)
+    for (int v = 0; v < ch.numVCs_; ++v)
+      sim::opPutBit(w, c->gnt[i][v],
+                    ((granted >> (i * kMaxVCs + v)) & 1u) != 0);
+}
+
+void VcOutputChannel::scheduleOp(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<const ScheduleCtx*>(vctx);
+  const VcOutputChannel& ch = *c->ch;
+  unsigned ready = 0;
+  for (int d = 0; d < ch.numVCs_; ++d) {
+    const Conn& k = ch.conn_[static_cast<std::size_t>(d)];
+    if (k.active && sim::opBit(w, c->rok[k.inPort][k.inVc]) &&
+        sim::opBit(w, c->vcFree[d]) &&
+        (!ch.creditMode() || ch.credits_.available(d)))
+      ready |= 1u << d;
+  }
+  const int sched = ch.pickScheduled(ready);
+  int readSlot = -1;  // inPort * kMaxVCs + inVc of the scheduled source
+  if (sched >= 0) {
+    const Conn& k = ch.conn_[static_cast<std::size_t>(sched)];
+    readSlot = k.inPort * kMaxVCs + k.inVc;
+    sim::opCopyFlit(w, c->outWord, c->xWord[k.inPort][k.inVc]);
+    sim::opPutWord32(w, c->outVc, static_cast<std::uint32_t>(sched));
+    sim::opPutBit(w, c->outVal, true);
+  } else {
+    sim::opPutFlit(w, c->outWord, 0, false, false);
+    sim::opPutWord32(w, c->outVc, 0);
+    sim::opPutBit(w, c->outVal, false);
+  }
+  for (int i = 0; i < kNumPorts; ++i)
+    for (int v = 0; v < ch.numVCs_; ++v)
+      sim::opPutBit(w, c->rd[i][v], i * kMaxVCs + v == readSlot);
+}
+
 bool VcOutputChannel::describe(sim::Lowering& lw) {
-  const int own = index(ownPort_);
-  std::vector<const sim::WireBase*> reads;
-  std::vector<const sim::WireBase*> writes;
+  const auto own = static_cast<std::size_t>(index(ownPort_));
+  GrantCtx grant;
+  grant.ch = this;
+  ScheduleCtx sched;
+  sched.ch = this;
+  std::vector<const sim::WireBase*> gntWrites;
+  std::vector<const sim::WireBase*> schedReads;
+  std::vector<const sim::WireBase*> schedWrites = {
+      &out_->flit.data, &out_->flit.bop, &out_->flit.eop, &out_->vc,
+      &out_->val};
   for (int i = 0; i < kNumPorts; ++i) {
     for (int v = 0; v < numVCs_; ++v) {
       CrossbarWires& x =
           (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-      reads.push_back(&x.rok);
-      reads.push_back(&x.flit.data);
-      reads.push_back(&x.flit.bop);
-      reads.push_back(&x.flit.eop);
-      writes.push_back(&x.gnt[static_cast<std::size_t>(own)]);
-      writes.push_back(&x.rd[static_cast<std::size_t>(own)]);
+      grant.gnt[i][v] = lw.bit(x.gnt[own]);
+      gntWrites.push_back(&x.gnt[own]);
+      sched.rok[i][v] = lw.bit(x.rok);
+      sched.xWord[i][v] = lw.flitWord(x.flit.data, x.flit.bop, x.flit.eop);
+      sched.rd[i][v] = lw.bit(x.rd[own]);
+      schedReads.insert(schedReads.end(),
+                        {&x.rok, &x.flit.data, &x.flit.bop, &x.flit.eop});
+      schedWrites.push_back(&x.rd[own]);
     }
   }
-  for (int d = 0; d < numVCs_; ++d)
-    reads.push_back(&out_->vcFree[static_cast<std::size_t>(d)]);
-  writes.push_back(&out_->flit.data);
-  writes.push_back(&out_->flit.bop);
-  writes.push_back(&out_->flit.eop);
-  writes.push_back(&out_->vc);
-  writes.push_back(&out_->val);
-  lw.thunkDeclared(*this, std::move(reads), std::move(writes));
+  for (int d = 0; d < numVCs_; ++d) {
+    sched.vcFree[d] = lw.bit(out_->vcFree[static_cast<std::size_t>(d)]);
+    schedReads.push_back(&out_->vcFree[static_cast<std::size_t>(d)]);
+  }
+  sched.outWord = lw.flitWord(out_->flit.data, out_->flit.bop, out_->flit.eop);
+  sched.outVc = lw.word32(out_->vc);
+  sched.outVal = lw.bit(out_->val);
+  lw.op(&grantOp, lw.ctx(grant), {}, std::move(gntWrites));
+  lw.op(&scheduleOp, lw.ctx(sched), std::move(schedReads),
+        std::move(schedWrites));
   lw.edgeCall(*this);
   return true;
 }

@@ -175,8 +175,10 @@ class VcOutputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcOutputChannelMetrics& metrics);
 
-  /// Behavioural thunk with declared reads/writes plus a clockEdge() call
-  /// (same lowering strategy as VcInputChannel and the network interface).
+  /// Compiled-kernel lowering: a grant op (the registered connection table
+  /// onto the gnt lines; reads no wire) and a schedule op (link scheduler,
+  /// read strobes and the output data switch), plus a clockEdge() call
+  /// (router/output_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -191,6 +193,18 @@ class VcOutputChannel : public sim::Module {
   // Downstream VC d is connected, its source has a flit ready, and the
   // receiver can take it — the link scheduler's candidate predicate.
   bool schedulable(int d) const;
+  // The link scheduler's pick among the downstream VCs whose bit is set in
+  // `ready` (schedulable(d)), or -1.  evaluate() and the compiled schedule
+  // op share it.
+  int pickScheduled(unsigned ready) const;
+  // The (input port, input VC) slots holding a connection, as bits
+  // inPort * kMaxVCs + inVc: the gnt lines this channel drives.
+  std::uint32_t grantMask() const;
+
+  struct GrantCtx;
+  struct ScheduleCtx;
+  static void grantOp(std::uint64_t* words, void* ctx);
+  static void scheduleOp(std::uint64_t* words, void* ctx);
 
   // One downstream VC's registered connection (wormhole: held from header
   // grant to tail send).

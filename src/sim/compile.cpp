@@ -19,41 +19,27 @@ void Lowering::beginModule(Module& m) {
 std::uint32_t Lowering::flitWord(const Wire<std::uint32_t>& data,
                                  const Wire<bool>& bop,
                                  const Wire<bool>& eop) {
-  auto it = prog_.bindingIndex_.find(&data);
-  if (it != prog_.bindingIndex_.end()) {
-    const CompiledProgram::Binding& d = prog_.bindings_[it->second];
-    auto bIt = prog_.bindingIndex_.find(&bop);
-    auto eIt = prog_.bindingIndex_.find(&eop);
-    if (d.shift != 0 || bIt == prog_.bindingIndex_.end() ||
-        eIt == prog_.bindingIndex_.end() ||
-        prog_.bindings_[bIt->second].word != d.word ||
-        prog_.bindings_[bIt->second].shift != kFlitBopShift ||
-        prog_.bindings_[eIt->second].word != d.word ||
-        prog_.bindings_[eIt->second].shift != kFlitEopShift)
+  const std::uint32_t d = prog_.bindingOf(&data);
+  const std::uint32_t b = prog_.bindingOf(&bop);
+  const std::uint32_t e = prog_.bindingOf(&eop);
+  constexpr std::uint32_t kNone = CompiledProgram::kNoSlot;
+  if (d != kNone) {
+    const auto& bs = prog_.bindings_;
+    if (bs[d].shift != 0 || b == kNone || e == kNone ||
+        bs[b].word != bs[d].word || bs[b].shift != kFlitBopShift ||
+        bs[e].word != bs[d].word || bs[e].shift != kFlitEopShift)
       throw std::logic_error(
           "Lowering::flitWord: trio previously placed with a different "
           "layout");
-    return d.word;
+    return bs[d].word;
   }
-  if (prog_.bindingIndex_.count(&bop) || prog_.bindingIndex_.count(&eop))
+  if (b != kNone || e != kNone)
     throw std::logic_error(
         "Lowering::flitWord: bop/eop already placed outside a flit word");
   const std::uint32_t word = prog_.newWord();
-  auto place = [&](const WireBase* w, void* value, std::uint8_t shift,
-                   std::uint8_t width, void (*store)(const WireBase*)) {
-    prog_.bindingIndex_.emplace(w, prog_.bindings_.size());
-    prog_.bindings_.push_back({w, value, word, shift, width, store});
-  };
-  place(&data, data.arenaValueSlot(), 0, 32, [](const WireBase* wb) {
-    static_cast<const Wire<std::uint32_t>*>(wb)->syncArena();
-  });
-  auto storeBool = [](const WireBase* wb) {
-    static_cast<const Wire<bool>*>(wb)->syncArena();
-  };
-  place(&bop, bop.arenaValueSlot(), static_cast<std::uint8_t>(kFlitBopShift),
-        1, storeBool);
-  place(&eop, eop.arenaValueSlot(), static_cast<std::uint8_t>(kFlitEopShift),
-        1, storeBool);
+  prog_.addBinding(data, word, 0, 32);
+  prog_.addBinding(bop, word, kFlitBopShift, 1);
+  prog_.addBinding(eop, word, kFlitEopShift, 1);
   return word;
 }
 
@@ -149,7 +135,20 @@ void CompiledProgram::finalize() {
         (b.width == 1 ? std::uint64_t{1} : std::uint64_t{0xffffffff})
         << b.shift;
     b.wire->bindArena(&cur_[b.word], b.shift, mask);
-    b.store(b.wire);
+    switch (b.kind) {
+      case WireKind::Bool:
+        boundBools_.push_back(static_cast<const Wire<bool>*>(b.wire));
+        boundBools_.back()->syncArena();
+        break;
+      case WireKind::Uint32:
+        boundWords_.push_back(static_cast<const Wire<std::uint32_t>*>(b.wire));
+        boundWords_.back()->syncArena();
+        break;
+      case WireKind::Int:
+        boundInts_.push_back(static_cast<const Wire<int>*>(b.wire));
+        boundInts_.back()->syncArena();
+        break;
+    }
   }
 
   scheduleUnits();
@@ -157,6 +156,8 @@ void CompiledProgram::finalize() {
   buildRuns();
   drafts_.clear();
   drafts_.shrink_to_fit();
+  bindings_.clear();
+  bindings_.shrink_to_fit();
 }
 
 // Re-copies every unit's context into one arena laid out in execution
@@ -232,17 +233,49 @@ void CompiledProgram::buildRuns() {
 void CompiledProgram::scheduleUnits() {
   const std::uint32_t n = static_cast<std::uint32_t>(drafts_.size());
 
-  // Wire -> writer units, then reader edges writer -> reader.
-  std::unordered_map<const WireBase*, std::vector<std::uint32_t>> writers;
-  for (std::uint32_t u = 0; u < n; ++u)
-    for (const WireBase* w : drafts_[u].writes) writers[w].push_back(u);
+  // Dense wire ids: a placed wire's id is its binding index; a written
+  // wire no op placed (a thunk's) gets an id past the bindings, recorded in
+  // its compile slot and validated against `unplaced` like bindingOf().
+  const auto placed = static_cast<std::uint32_t>(bindings_.size());
+  std::vector<const WireBase*> unplaced;
+  auto idOf = [&](const WireBase* w) {
+    const std::uint32_t s = w->compileSlot();
+    if (s < placed) return bindings_[s].wire == w ? s : kNoSlot;
+    return s - placed < unplaced.size() && unplaced[s - placed] == w
+               ? s
+               : kNoSlot;
+  };
+  for (const UnitDraft& d : drafts_) {
+    for (const WireBase* w : d.writes) {
+      if (idOf(w) != kNoSlot) continue;
+      w->setCompileSlot(placed + static_cast<std::uint32_t>(unplaced.size()));
+      unplaced.push_back(w);
+    }
+  }
+
+  // Wire -> writer units (CSR, indexed by wire id), then reader edges
+  // writer -> reader.
+  const std::size_t ids = placed + unplaced.size();
+  std::vector<std::uint32_t> writerStart(ids + 1, 0);
+  for (const UnitDraft& d : drafts_)
+    for (const WireBase* w : d.writes) ++writerStart[idOf(w) + 1];
+  for (std::size_t i = 0; i < ids; ++i) writerStart[i + 1] += writerStart[i];
+  std::vector<std::uint32_t> writerList(writerStart[ids]);
+  {
+    std::vector<std::uint32_t> fill(writerStart.begin(),
+                                    writerStart.end() - 1);
+    for (std::uint32_t u = 0; u < n; ++u)
+      for (const WireBase* w : drafts_[u].writes)
+        writerList[fill[idOf(w)]++] = u;
+  }
   std::vector<std::vector<std::uint32_t>> succ(n);
   std::vector<bool> selfLoop(n, false);
   for (std::uint32_t u = 0; u < n; ++u) {
     for (const WireBase* r : drafts_[u].reads) {
-      auto it = writers.find(r);
-      if (it == writers.end()) continue;
-      for (std::uint32_t w : it->second) {
+      const std::uint32_t id = idOf(r);
+      if (id == kNoSlot) continue;
+      for (std::uint32_t k = writerStart[id]; k != writerStart[id + 1]; ++k) {
+        const std::uint32_t w = writerList[k];
         if (w == u)
           selfLoop[u] = true;
         else
@@ -344,9 +377,8 @@ void CompiledProgram::scheduleUnits() {
       // Watch the arena words this unit's op writes land in; thunk writes
       // are tracked through SettleContext instead.
       for (const WireBase* w : d.writes) {
-        auto it = bindingIndex_.find(w);
-        if (it != bindingIndex_.end())
-          watchWords_.push_back(bindings_[it->second].word);
+        const std::uint32_t b = bindingOf(w);
+        if (b != kNoSlot) watchWords_.push_back(bindings_[b].word);
       }
     }
   };
@@ -495,18 +527,18 @@ void CompiledProgram::edge() {
 }
 
 void CompiledProgram::unbindWires() const {
-  // Materialize the final arena value into each wire before detaching:
-  // once unbound, get() serves the cached value with no arena to consult.
-  for (const Binding& b : bindings_) {
-    const std::uint64_t bits = cur_[b.word] >> b.shift;
-    if (b.width == 1) {
-      *static_cast<bool*>(b.value) = (bits & 1) != 0;
-    } else {
-      const std::uint32_t v = static_cast<std::uint32_t>(bits);
-      std::memcpy(b.value, &v, sizeof(v));
+  // Materialize the final arena value into each wire before detaching
+  // (get() refreshes the cached value from the arena): once unbound, get()
+  // serves the cached value with no arena to consult.
+  auto release = [](const auto& wires) {
+    for (const auto* w : wires) {
+      w->get();
+      w->unbindArena();
     }
-    b.wire->unbindArena();
-  }
+  };
+  release(boundBools_);
+  release(boundWords_);
+  release(boundInts_);
 }
 
 }  // namespace rasoc::sim

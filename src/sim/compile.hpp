@@ -237,18 +237,30 @@ class CompiledProgram {
   friend class Lowering;
   CompiledProgram() = default;
 
-  // A wire's slice plus the transfer machinery between the Wire object and
-  // the arena.  `value` points at the wire's stored value (bool for
-  // width-1 slices, a 4-byte integral otherwise), so the unbind-time
-  // materialization is a direct store of the arena bits - no per-wire call.
+  // A placed wire's slice, kept while the program is built.  A placed
+  // wire's WireBase::compileSlot is its index here.  `kind` records the
+  // Wire<T> behind the base pointer, so finalize() can hand each wire to
+  // the typed list unbindWires() walks.
+  enum class WireKind : std::uint8_t { Bool, Uint32, Int };
   struct Binding {
     const WireBase* wire;
-    void* value;                       // Wire<T>::arenaValueSlot()
     std::uint32_t word;
     std::uint8_t shift;
     std::uint8_t width;                // 1 or 32
-    void (*store)(const WireBase*);    // wire -> arena (Wire::syncArena)
+    WireKind kind;
   };
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  // Index of `w` in bindings_, or kNoSlot when this program never placed
+  // it (validates the wire's intrusive slot, which may be stale).
+  std::uint32_t bindingOf(const WireBase* w) const {
+    const std::uint32_t s = w->compileSlot();
+    return s < bindings_.size() && bindings_[s].wire == w ? s : kNoSlot;
+  }
+  template <typename T>
+  void addBinding(const Wire<T>& w, std::uint32_t word, unsigned shift,
+                  unsigned width);
 
   // Pre-schedule unit as emitted by Lowering.
   struct UnitDraft {
@@ -318,8 +330,12 @@ class CompiledProgram {
   std::int64_t halfWord_ = -1;
   unsigned halfUsed_ = 0;
 
-  std::vector<Binding> bindings_;
-  std::unordered_map<const WireBase*, std::size_t> bindingIndex_;
+  std::vector<Binding> bindings_;  // build time only
+  // The bound wires by type, for unbindWires() (the lean form of bindings_
+  // kept for the program's lifetime).
+  std::vector<const Wire<bool>*> boundBools_;
+  std::vector<const Wire<std::uint32_t>*> boundWords_;
+  std::vector<const Wire<int>*> boundInts_;
 
   std::vector<UnitDraft> drafts_;
   std::vector<ExecUnit> units_;
@@ -356,39 +372,47 @@ class CompiledProgram {
 
 template <typename T>
 Slice Lowering::slice(const Wire<T>& w, int width) {
-  auto [it, inserted] =
-      prog_.bindingIndex_.try_emplace(&w, prog_.bindings_.size());
-  if (!inserted) {
-    const CompiledProgram::Binding& b = prog_.bindings_[it->second];
+  const std::uint32_t existing = prog_.bindingOf(&w);
+  if (existing != CompiledProgram::kNoSlot) {
+    const CompiledProgram::Binding& b = prog_.bindings_[existing];
     if (b.width != width)
       throw std::logic_error("Lowering: wire placed with conflicting widths");
     return {b.word, b.shift};
   }
   std::uint32_t word;
-  std::uint8_t shift;
+  unsigned shift;
   if (width == 1) {
     if (prog_.bitWord_ < 0 || prog_.bitUsed_ == 64) {
       prog_.bitWord_ = prog_.newWord();
       prog_.bitUsed_ = 0;
     }
     word = static_cast<std::uint32_t>(prog_.bitWord_);
-    shift = static_cast<std::uint8_t>(prog_.bitUsed_++);
+    shift = prog_.bitUsed_++;
   } else {
     if (prog_.halfWord_ < 0 || prog_.halfUsed_ == 2) {
       prog_.halfWord_ = prog_.newWord();
       prog_.halfUsed_ = 0;
     }
     word = static_cast<std::uint32_t>(prog_.halfWord_);
-    shift = static_cast<std::uint8_t>(32 * prog_.halfUsed_++);
+    shift = 32 * prog_.halfUsed_++;
   }
-  static_assert(std::is_same_v<T, bool> || sizeof(T) == 4,
-                "flush tables store raw 4-byte integrals");
-  prog_.bindings_.push_back(
-      {&w, w.arenaValueSlot(), word, shift, static_cast<std::uint8_t>(width),
-       [](const WireBase* wb) {
-         static_cast<const Wire<T>*>(wb)->syncArena();
-       }});
+  prog_.addBinding(w, word, shift, static_cast<unsigned>(width));
   return {word, shift};
+}
+
+template <typename T>
+void CompiledProgram::addBinding(const Wire<T>& w, std::uint32_t word,
+                                 unsigned shift, unsigned width) {
+  WireKind kind = WireKind::Bool;
+  if constexpr (std::is_same_v<T, std::uint32_t>)
+    kind = WireKind::Uint32;
+  else if constexpr (std::is_same_v<T, int>)
+    kind = WireKind::Int;
+  else
+    static_assert(std::is_same_v<T, bool>, "unsupported wire type");
+  w.setCompileSlot(static_cast<std::uint32_t>(bindings_.size()));
+  bindings_.push_back({&w, word, static_cast<std::uint8_t>(shift),
+                       static_cast<std::uint8_t>(width), kind});
 }
 
 }  // namespace rasoc::sim

@@ -90,10 +90,17 @@ class WireBase {
                  std::uint64_t mask) const {
     arenaWord_ = word;
     arenaShift_ = static_cast<std::uint8_t>(shift);
-    arenaMask_ = mask;
+    arenaLowMask_ = static_cast<std::uint32_t>(mask >> shift);
   }
   void unbindArena() const { arenaWord_ = nullptr; }
   bool arenaBound() const { return arenaWord_ != nullptr; }
+
+  // The compiled kernel's per-wire table index, so lowering finds a wire's
+  // placement without a hash lookup.  The program that wrote it validates
+  // it against its own tables before use (a sparse-set check), so a stale
+  // index left by an earlier program is harmless and never needs clearing.
+  std::uint32_t compileSlot() const { return compileSlot_; }
+  void setCompileSlot(std::uint32_t slot) const { compileSlot_ = slot; }
 
  protected:
   void notifySensitive() const {
@@ -101,18 +108,21 @@ class WireBase {
   }
 
   void storeArenaBits(std::uint64_t bits) const {
-    *arenaWord_ = (*arenaWord_ & ~arenaMask_) |
-                  ((bits << arenaShift_) & arenaMask_);
+    const std::uint64_t mask = std::uint64_t{arenaLowMask_} << arenaShift_;
+    *arenaWord_ = (*arenaWord_ & ~mask) | ((bits << arenaShift_) & mask);
   }
   std::uint64_t loadArenaBits() const {
-    return (*arenaWord_ & arenaMask_) >> arenaShift_;
+    return (*arenaWord_ >> arenaShift_) & arenaLowMask_;
   }
 
  private:
   mutable std::vector<Module*> fanout_;
-  // Arena slice (null word pointer = unbound).  Mutable: see bindArena().
+  // Arena slice (null word pointer = unbound): the unshifted value mask (1
+  // or 0xffffffff) keeps the 4-byte compile slot inside the footprint a
+  // 64-bit mask alone used to take.  Mutable: see bindArena().
   mutable std::uint64_t* arenaWord_ = nullptr;
-  mutable std::uint64_t arenaMask_ = 0;
+  mutable std::uint32_t arenaLowMask_ = 0;
+  mutable std::uint32_t compileSlot_ = 0xffffffffu;
   mutable std::uint8_t arenaShift_ = 0;
 };
 
@@ -172,12 +182,6 @@ class Wire : public WireBase {
       if (arenaBound()) storeArenaBits(toBits(value_));
     }
   }
-
-  // Raw pointer to the stored value, for the compiled kernel's
-  // unbind-time materialization (which stores final arena bits directly
-  // before detaching, so get() stays correct once the binding is gone).
-  // Same bookkeeping-on-a-const-net rationale as bindArena().
-  T* arenaValueSlot() const { return const_cast<T*>(&value_); }
 
  private:
   // Adopts the arena value when bound (no-op otherwise).  The fanout is

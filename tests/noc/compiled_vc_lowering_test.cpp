@@ -1,0 +1,192 @@
+// Compiled-kernel program shape for virtual-channel networks (DESIGN.md
+// §11.2, §12.3).
+//
+//  1. Program-shape gate — a fault-free network levelizes to one linear
+//     op tape at every VC count, QoS setting and flow-control mode: no
+//     iterated segment, and thunks only for the documented residue (the
+//     single-VC network interface; nothing at numVCs > 1).  Credit flow
+//     control is the trap case: a unit that drove both vcFree and vcAck
+//     would close a cycle through the neighbouring router or the NI.  Each
+//     configuration also runs against an event-driven twin, so a lowering
+//     that levelizes but computes the wrong function fails here too.
+//  2. Telemetry after the first settle — attaching VC channel metrics must
+//     invalidate the compiled program (Module::noteDescribeChanged), and
+//     the counters of a run whose telemetry was enabled after cycle 0 must
+//     match an event-driven twin's.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "noc/network.hpp"
+#include "noc/topology.hpp"
+#include "router/params.hpp"
+#include "router/rasoc.hpp"
+#include "sim/compile.hpp"
+#include "telemetry/metrics.hpp"
+
+namespace rasoc::noc {
+namespace {
+
+using router::FlowControl;
+using router::TrafficClass;
+using sim::Simulator;
+
+struct Shape {
+  std::string topology;
+  int numVCs;
+  bool qos;
+  FlowControl flowControl;
+};
+
+std::string label(const Shape& s) {
+  return s.topology + " vc" + std::to_string(s.numVCs) +
+         (s.qos ? " qos" : "") +
+         (s.flowControl == FlowControl::CreditBased ? " credit"
+                                                     : " handshake");
+}
+
+std::unique_ptr<Network> build(const Shape& s, Simulator::Kernel kernel) {
+  NetworkConfig cfg;
+  cfg.params.n = 16;
+  cfg.params.p = 4;
+  cfg.params.numVCs = s.numVCs;
+  cfg.params.qosClasses = s.qos;
+  cfg.params.flowControl = s.flowControl;
+  cfg.kernel = kernel;
+  auto net = std::make_unique<Network>(
+      makeTopology(s.topology, s.topology == "ring" ? 8 : 4,
+                   s.topology == "ring" ? 1 : 4),
+      cfg);
+  if (s.qos) {
+    FlowSpec control;
+    control.trafficClass = TrafficClass::Control;
+    control.traffic.offeredLoad = 0.05;
+    control.traffic.payloadFlits = 2;
+    control.traffic.seed = 71;
+    FlowSpec bulk;
+    bulk.trafficClass = TrafficClass::Bulk;
+    bulk.traffic.offeredLoad = 0.40;
+    bulk.traffic.payloadFlits = 4;
+    bulk.traffic.seed = 72;
+    net->attachTraffic(std::vector<FlowSpec>{control, bulk});
+  } else {
+    TrafficConfig traffic;
+    traffic.offeredLoad = 0.30;
+    traffic.payloadFlits = 3;
+    traffic.seed = 73;
+    net->attachTraffic(traffic);
+  }
+  return net;
+}
+
+// Every supported shape: QoS needs two adaptive VCs above the escape layer
+// (one escape VC on a mesh, two on wrapping topologies), so it only pairs
+// with numVCs == 4 here.
+std::vector<Shape> allShapes() {
+  std::vector<Shape> shapes;
+  for (const char* topo : {"mesh", "torus", "ring"})
+    for (FlowControl fc : {FlowControl::Handshake, FlowControl::CreditBased}) {
+      for (int vcs : {1, 2, 4}) shapes.push_back({topo, vcs, false, fc});
+      shapes.push_back({topo, 4, true, fc});
+    }
+  return shapes;
+}
+
+TEST(CompiledVcLoweringTest, FaultFreeNetworksLevelizeToOneLinearTape) {
+  for (const Shape& shape : allShapes()) {
+    SCOPED_TRACE(label(shape));
+    auto compiled = build(shape, Simulator::Kernel::Compiled);
+    auto reference = build(shape, Simulator::Kernel::EventDriven);
+    compiled->run(300);
+    reference->run(300);
+
+    const sim::CompiledProgram* prog =
+        compiled->simulator().compiledProgram();
+    ASSERT_NE(prog, nullptr);
+    EXPECT_EQ(prog->iterateSegmentCount(), 0u);
+    // The documented residue: the single-VC network interface is a
+    // declared thunk; at numVCs > 1 every module lowers to ops.
+    const std::size_t residue =
+        shape.numVCs == 1
+            ? static_cast<std::size_t>(compiled->topology().nodes())
+            : 0u;
+    EXPECT_EQ(prog->thunkCount(), residue);
+    EXPECT_EQ(prog->opCount() + prog->thunkCount(), prog->unitCount());
+
+    EXPECT_TRUE(compiled->healthy());
+    EXPECT_GT(compiled->ledger().delivered(), 0u);
+    EXPECT_EQ(compiled->ledger().queued(), reference->ledger().queued());
+    EXPECT_EQ(compiled->ledger().delivered(), reference->ledger().delivered());
+    EXPECT_EQ(compiled->ledger().flitsDelivered(),
+              reference->ledger().flitsDelivered());
+    EXPECT_DOUBLE_EQ(compiled->meanLinkUtilization(),
+                     reference->meanLinkUtilization());
+  }
+}
+
+// Counts describeChanged() notifications from modules bound to it.
+class DescribeSpy : public sim::EvalScheduler {
+ public:
+  void enqueueDirty(sim::Module*) override {}
+  void describeChanged() override { ++changes; }
+  int changes = 0;
+};
+
+void bindTree(sim::Module& m, sim::EvalScheduler* scheduler) {
+  m.bindScheduler(scheduler);
+  for (sim::Module* child : m.children()) bindTree(*child, scheduler);
+}
+
+TEST(CompiledVcLoweringTest, AttachingChannelMetricsInvalidatesTheProgram) {
+  for (int vcs : {1, 2, 4}) {
+    SCOPED_TRACE("vc" + std::to_string(vcs));
+    router::RouterParams params;
+    params.numVCs = vcs;
+    router::Rasoc r("r", params);
+    DescribeSpy spy;
+    bindTree(r, &spy);
+    telemetry::MetricsRegistry registry;
+    r.attachMetrics(registry, "r");
+    // One notification per input and per output channel.
+    EXPECT_EQ(spy.changes, 2 * router::kNumPorts);
+  }
+}
+
+TEST(CompiledVcLoweringTest, TelemetryEnabledAfterFirstSettleMatchesTwin) {
+  const Shape shape{"mesh", 4, false, FlowControl::Handshake};
+  auto compiled = build(shape, Simulator::Kernel::Compiled);
+  auto reference = build(shape, Simulator::Kernel::EventDriven);
+  compiled->simulator().step();
+  reference->simulator().step();
+  ASSERT_NE(compiled->simulator().compiledProgram(), nullptr);
+
+  telemetry::MetricsRegistry compiledMetrics;
+  telemetry::MetricsRegistry referenceMetrics;
+  compiled->enableTelemetry(compiledMetrics);
+  reference->enableTelemetry(referenceMetrics);
+  compiled->run(400);
+  reference->run(400);
+
+  ASSERT_EQ(compiledMetrics.counters().size(),
+            referenceMetrics.counters().size());
+  std::uint64_t routed = 0;
+  for (const auto& [name, counter] : referenceMetrics.counters()) {
+    EXPECT_EQ(compiledMetrics.counterValue(name, ~0ull), counter.value())
+        << name;
+    if (name.ends_with(".flits_routed")) routed += counter.value();
+  }
+  EXPECT_GT(routed, 0u) << "the router counters must actually have counted";
+  ASSERT_EQ(compiledMetrics.histograms().size(),
+            referenceMetrics.histograms().size());
+  for (const auto& [name, histogram] : referenceMetrics.histograms()) {
+    const telemetry::Histogram* h = compiledMetrics.findHistogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->bucketCounts(), histogram.bucketCounts()) << name;
+  }
+}
+
+}  // namespace
+}  // namespace rasoc::noc

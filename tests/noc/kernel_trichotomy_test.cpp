@@ -289,8 +289,10 @@ TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
   // QoS adds class-tagged headers, the class->VC bid mask, the NI's per-VC
   // inject queues and the output channels' strict-priority-with-starvation
   // scheduler; all of it must stay bit-identical across every kernel (the
-  // modules lower as declared thunks, so this pins the shared behavioural
-  // code under both substrates and the parallel kernel's domain cuts).
+  // compiled kernel runs the channels as per-VC ops over the helpers
+  // evaluate() also uses, and the NI send side as an op around the same
+  // queue logic, so this pins both substrates and the parallel kernel's
+  // domain cuts).
   for (const auto& topo :
        {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
         makeTopology("ring", 8, 1)}) {
