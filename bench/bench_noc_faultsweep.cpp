@@ -17,9 +17,10 @@
 //
 // Flags follow bench_noc_loadsweep: --topology=mesh|torus|ring (16 nodes
 // each), --kernel=naive|event|parallel|compiled, --threads=N, plus
-// --quick for a
-// reduced CI smoke grid.  First non-flag argument is the RunReport JSON
-// artifact path (default bench_noc_faultsweep_report.json).
+// --quick for a reduced CI smoke grid.  Numbers parse strictly and an
+// unknown --option exits nonzero (sweep_flags.hpp).  The first non-option
+// argument is the RunReport JSON artifact path (default
+// bench_noc_faultsweep_report.json).
 //
 // --trace=<path> flit-traces the instrumented *reliable* run and writes
 // its Chrome/Perfetto JSON there (--trace-sample=K thins it): the flow
@@ -35,7 +36,6 @@
 // stay put while faults hammer the Bulk lane.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -47,6 +47,8 @@
 #include "noc/watchdog.hpp"
 #include "tech/report.hpp"
 #include "telemetry/trace_event.hpp"
+
+#include "sweep_flags.hpp"
 
 using namespace rasoc;
 
@@ -326,24 +328,28 @@ std::string instrumentedReport(double intensity, double load, bool reliable,
 int main(int argc, char** argv) {
   std::string path = "bench_noc_faultsweep_report.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--topology=", 11) == 0) {
-      gTopology = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-      gKernel = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      gThreads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--vcs=", 6) == 0) {
-      gVcs = std::atoi(argv[i] + 6);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    const char* arg = argv[i];
+    const char* value = nullptr;
+    if ((value = bench::flagValue(arg, "--topology="))) {
+      gTopology = value;
+    } else if ((value = bench::flagValue(arg, "--kernel="))) {
+      gKernel = value;
+    } else if ((value = bench::flagValue(arg, "--threads="))) {
+      if (!bench::parseNumberFlag(arg, value, gThreads)) return 1;
+    } else if ((value = bench::flagValue(arg, "--vcs="))) {
+      if (!bench::parseNumberFlag(arg, value, gVcs)) return 1;
+    } else if (std::strcmp(arg, "--quick") == 0) {
       gQuick = true;
-    } else if (std::strcmp(argv[i], "--qos") == 0) {
+    } else if (std::strcmp(arg, "--qos") == 0) {
       gQos = true;
-    } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-      gTraceSample = std::strtoull(argv[i] + 15, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      gTracePath = argv[i] + 8;
+    } else if ((value = bench::flagValue(arg, "--trace-sample="))) {
+      if (!bench::parseNumberFlag(arg, value, gTraceSample)) return 1;
+    } else if ((value = bench::flagValue(arg, "--trace="))) {
+      gTracePath = value;
+    } else if (bench::unknownOption(arg)) {
+      return 1;
     } else {
-      path = argv[i];
+      path = arg;
     }
   }
   if (gTraceSample < 1) {

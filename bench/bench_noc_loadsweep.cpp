@@ -15,8 +15,9 @@
 //
 // Besides the human-readable tables, one fully instrumented run per
 // traffic pattern is serialized as a machine-diffable RunReport JSON
-// artifact (path: first non-flag argument, default
-// bench_noc_loadsweep_report.json).
+// artifact (path: first non-option argument, default
+// bench_noc_loadsweep_report.json).  Numbers parse strictly and an
+// unknown --option exits nonzero (sweep_flags.hpp).
 //
 // --trace=<path> additionally traces the instrumented hotspot run at
 // flit-level (noc/flow_trace.hpp) and writes the Chrome/Perfetto JSON
@@ -32,7 +33,6 @@
 // heaviest load.  The JSON artifact carries the RunReport `qos` section.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -43,6 +43,8 @@
 #include "noc/watchdog.hpp"
 #include "tech/report.hpp"
 #include "telemetry/trace_event.hpp"
+
+#include "sweep_flags.hpp"
 
 using namespace rasoc;
 
@@ -328,22 +330,26 @@ int runQosSweep(const std::string& path) {
 int main(int argc, char** argv) {
   std::string path = "bench_noc_loadsweep_report.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--topology=", 11) == 0) {
-      gTopology = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-      gKernel = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      gThreads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--vcs=", 6) == 0) {
-      gVcs = std::atoi(argv[i] + 6);
-    } else if (std::strcmp(argv[i], "--qos") == 0) {
+    const char* arg = argv[i];
+    const char* value = nullptr;
+    if ((value = bench::flagValue(arg, "--topology="))) {
+      gTopology = value;
+    } else if ((value = bench::flagValue(arg, "--kernel="))) {
+      gKernel = value;
+    } else if ((value = bench::flagValue(arg, "--threads="))) {
+      if (!bench::parseNumberFlag(arg, value, gThreads)) return 1;
+    } else if ((value = bench::flagValue(arg, "--vcs="))) {
+      if (!bench::parseNumberFlag(arg, value, gVcs)) return 1;
+    } else if (std::strcmp(arg, "--qos") == 0) {
       gQos = true;
-    } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-      gTraceSample = std::strtoull(argv[i] + 15, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      gTracePath = argv[i] + 8;
+    } else if ((value = bench::flagValue(arg, "--trace-sample="))) {
+      if (!bench::parseNumberFlag(arg, value, gTraceSample)) return 1;
+    } else if ((value = bench::flagValue(arg, "--trace="))) {
+      gTracePath = value;
+    } else if (bench::unknownOption(arg)) {
+      return 1;
     } else {
-      path = argv[i];
+      path = arg;
     }
   }
   if (gTraceSample < 1) {

@@ -541,6 +541,17 @@ struct NetworkInterface::SendCtx {
 
 namespace {
 
+// Receive side at numVCs == 1: always ready, so ack echoes val (in credit
+// mode the same pulse returns the credit).
+struct EchoCtx {
+  sim::Slice from, to;
+};
+
+void echoAck(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<EchoCtx*>(vctx);
+  sim::opPutBit(w, c->to, sim::opBit(w, c->from));
+}
+
 // Receive-side space levels: unbounded reassembly, so always up.
 struct LevelsCtx {
   int numVCs = 0;
@@ -570,6 +581,7 @@ void returnCredits(std::uint64_t* w, void* vctx) {
 
 }  // namespace
 
+template <bool kVc>
 void NetworkInterface::sendOp(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<SendCtx*>(vctx);
   unsigned freeMask = 0;
@@ -583,24 +595,16 @@ void NetworkInterface::sendOp(std::uint64_t* w, void* vctx) {
   else
     sim::opPutFlit(w, c->flitWord, 0, false, false);
   sim::opPutBit(w, c->val, send.flit != nullptr);
-  sim::opPutWord32(w, c->vc,
-                   static_cast<std::uint32_t>(send.flit ? send.vc : 0));
+  if constexpr (kVc)
+    sim::opPutWord32(w, c->vc,
+                     static_cast<std::uint32_t>(send.flit ? send.vc : 0));
 }
 
 bool NetworkInterface::describe(sim::Lowering& lw) {
-  if (!vcMode()) {
-    lw.thunkDeclared(*this, {&fromRouter_->val},
-                     {&toRouter_->flit.data, &toRouter_->flit.bop,
-                      &toRouter_->flit.eop, &toRouter_->val,
-                      &fromRouter_->ack});
-    lw.edgeCall(*this);
-    return true;
-  }
-
   SendCtx send;
   send.ni = this;
   std::vector<const sim::WireBase*> sendReads;
-  if (!creditMode()) {
+  if (vcMode() && !creditMode()) {
     // QoS injects on any adaptive VC, so the send side reads them all;
     // otherwise only the fixed inject VC's level matters.
     const int first = params_.qosClasses ? options_.escapeVCs
@@ -617,10 +621,24 @@ bool NetworkInterface::describe(sim::Lowering& lw) {
   send.flitWord = lw.flitWord(toRouter_->flit.data, toRouter_->flit.bop,
                               toRouter_->flit.eop);
   send.val = lw.bit(toRouter_->val);
+  std::vector<const sim::WireBase*> sendWrites = {
+      &toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
+      &toRouter_->val};
+
+  if (!vcMode()) {
+    lw.op(&sendOp<false>, lw.ctx(send), {}, std::move(sendWrites));
+    EchoCtx echo;
+    echo.from = lw.bit(fromRouter_->val);
+    echo.to = lw.bit(fromRouter_->ack);
+    lw.op(&echoAck, lw.ctx(echo), {&fromRouter_->val}, {&fromRouter_->ack});
+    lw.edgeCall(*this);
+    return true;
+  }
+
   send.vc = lw.word32(toRouter_->vc);
-  lw.op(&sendOp, lw.ctx(send), std::move(sendReads),
-        {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
-         &toRouter_->val, &toRouter_->vc});
+  sendWrites.push_back(&toRouter_->vc);
+  lw.op(&sendOp<true>, lw.ctx(send), std::move(sendReads),
+        std::move(sendWrites));
 
   LevelsCtx levels;
   levels.numVCs = params_.numVCs;

@@ -183,14 +183,14 @@ class NetworkInterface : public sim::Module {
   /// so the tracer's shadow stream stays aligned with sendQueue_.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
-  /// Compiled-kernel lowering.  numVCs == 1: a declared thunk (skipping
-  /// write discovery so the send queue is untouched at compile time).
-  /// numVCs > 1: three ops — send (the pending flit onto the local input,
-  /// behind the inject VCs' vcFree levels), vcFree (receive-side space
-  /// levels, constant) and, under credit flow control, vcAck (the
-  /// receive-side credit return) — kept apart so no unit both reads the
-  /// local output's val and drives a level that output reads.  The clock
-  /// edge is a clockEdge() call either way.
+  /// Compiled-kernel lowering.  numVCs == 1: two ops — send (the pending
+  /// flit onto the local input) and the ack echo (ack = val from the
+  /// router, the same under both flow controls).  numVCs > 1: three ops —
+  /// send (also driving the inject VC, behind the inject VCs' vcFree
+  /// levels), vcFree (receive-side space levels, constant) and, under
+  /// credit flow control, vcAck (the receive-side credit return) — kept
+  /// apart so no unit both reads the local output's val and drives a level
+  /// that output reads.  The clock edge is a clockEdge() call either way.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -219,6 +219,9 @@ class NetworkInterface : public sim::Module {
   PendingSend pendingSend(unsigned freeMask) const;
 
   struct SendCtx;
+  // kVc: also drive the inject VC (numVCs > 1; at numVCs == 1 nothing
+  // reads the vc wire, so it is never placed).
+  template <bool kVc>
   static void sendOp(std::uint64_t* words, void* ctx);
   // Packet-completion step shared by the single-queue (numVCs == 1) and
   // per-VC reassembly paths.

@@ -1,6 +1,7 @@
 #include "router/input_channel.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/compile.hpp"
 
@@ -336,7 +337,9 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
 void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // Keep the compiled program in step with the edge path metrics select.
+  // The edge op reads the metrics through the channel, so the program
+  // stays valid; the notification keeps the contract every channel's
+  // attachMetrics shares (the single-VC lowering does fork on metrics).
   noteDescribeChanged();
 }
 
@@ -353,14 +356,50 @@ void VcInputChannel::pop(int v) {
   --count_[vi];
 }
 
-bool VcInputChannel::popFired(int v) const {
-  const CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
-  for (int o = 0; o < kNumPorts; ++o) {
-    if (xb.gnt[static_cast<std::size_t>(o)].get() &&
-        xb.rd[static_cast<std::size_t>(o)].get())
-      return true;
+// Samples the settled pre-edge nets through Wire::get(): the behavioural
+// kernels' view for commitEdge().
+struct VcInputChannel::WireSample {
+  const VcInputChannel* ch;
+
+  int vcs() const { return ch->numVCs_; }
+
+  bool val() const { return ch->in_->val.get(); }
+  int vc() const { return ch->in_->vc.get(); }
+  Flit flit() const {
+    Flit f;
+    f.data = ch->in_->flit.data.get();
+    f.bop = ch->in_->flit.bop.get();
+    f.eop = ch->in_->flit.eop.get();
+    return f;
   }
+  unsigned gnt(int v) const {
+    unsigned mask = 0;
+    for (int o = 0; o < kNumPorts; ++o)
+      if (xbar(v).gnt[static_cast<std::size_t>(o)].get()) mask |= 1u << o;
+    return mask;
+  }
+  bool rd(int v, int o) const {
+    return xbar(v).rd[static_cast<std::size_t>(o)].get();
+  }
+
+ private:
+  const CrossbarWires& xbar(int v) const {
+    return (*ch->xbar_)[static_cast<std::size_t>(v)];
+  }
+};
+
+// VC v's pop strobe: a granting output port reads it out.  Only the ports
+// in `gnt` are sampled.
+template <typename S>
+bool VcInputChannel::popFired(const S& s, int v, unsigned gnt) {
+  for (; gnt != 0; gnt &= gnt - 1)
+    if (s.rd(v, std::countr_zero(gnt))) return true;
   return false;
+}
+
+bool VcInputChannel::popFired(int v) const {
+  const WireSample s{this};
+  return popFired(s, v, s.gnt(v));
 }
 
 bool VcInputChannel::dequeueFired(int v) const {
@@ -443,19 +482,22 @@ void VcInputChannel::evaluate() {
   }
 }
 
-void VcInputChannel::clockEdge() {
+void VcInputChannel::clockEdge() { commitEdge(WireSample{this}); }
+
+template <typename S>
+void VcInputChannel::commitEdge(const S& s) {
+  // numVCs_, known at compile time under ArenaSample so the loops unroll.
+  const int vcs = s.vcs();
+
   // Accept: the sender only schedules a VC with advertised space (on/off)
   // or an available credit, so a full target FIFO means broken flow
   // control — recorded sticky, never overwritten silently.
-  if (in_->val.get()) {
-    const int v = in_->vc.get();
-    if (v < 0 || v >= numVCs_ || occupancy(v) >= params_.p) {
+  if (s.val()) {
+    const int v = s.vc();
+    if (v < 0 || v >= vcs || occupancy(v) >= params_.p) {
       overflow_ = true;
     } else {
-      Flit f;
-      f.data = in_->flit.data.get();
-      f.bop = in_->flit.bop.get();
-      f.eop = in_->flit.eop.get();
+      Flit f = s.flit();
       f.vc = v;
       push(v, f);
       ++flitsAccepted_;
@@ -466,20 +508,17 @@ void VcInputChannel::clockEdge() {
 
   bool anyFull = false;
   bool anyStall = false;
-  for (int v = 0; v < numVCs_; ++v) {
+  for (int v = 0; v < vcs; ++v) {
     const auto vi = static_cast<std::size_t>(v);
-    const bool read = popFired(v);
+    const unsigned gnt = s.gnt(v);
+    const bool read = popFired(s, v, gnt);
     // A pop strobe can only refer to a flit that was at the head pre-edge,
     // so popping after the accept push is safe: the push appended to the
     // back, and an empty pre-edge FIFO never had rd granted.
     if (read && count_[vi] > 0) pop(v);
 
-    bool granted = false;
-    for (int o = 0; o < kNumPorts; ++o)
-      granted = granted ||
-                (*xbar_)[vi].gnt[static_cast<std::size_t>(o)].get();
     const int depth = count_[vi];
-    if (depth > 0 && front(v).bop && !granted) {
+    if (depth > 0 && front(v).bop && gnt == 0) {
       if (patience_[vi] < kVcPatienceCap) ++patience_[vi];
     } else {
       patience_[vi] = 0;
@@ -511,6 +550,11 @@ void VcInputChannel::clockEdge() {
 //                from gnt & rd.  Kept out of publish: rd comes from the
 //                output channels' schedule ops, which read this VC's rok,
 //                so a fused unit would close a cycle inside the router.
+//   edge       - commitEdge() over ArenaSample<numVCs>: the link and the
+//                crossbar lines read from the settled arena, the metrics
+//                hooks behind the same metricsAttached_ test as
+//                clockEdge(), so one edge path serves both.  The context
+//                is sized for the channel's numVCs, not kMaxVCs.
 
 struct VcInputChannel::PublishCtx {
   VcInputChannel* ch = nullptr;
@@ -553,6 +597,63 @@ void VcInputChannel::publishOp(std::uint64_t* w, void* vctx) {
   sim::opPutFlit(w, c->flitWord, p.flit.data, p.flit.bop, p.flit.eop);
 }
 
+template <int N>
+struct VcInputChannel::EdgeCtx {
+  VcInputChannel* ch = nullptr;
+  sim::Slice val, vc;
+  std::uint32_t flitWord = 0;
+  sim::Slice gnt[N][kNumPorts], rd[N][kNumPorts];
+};
+
+// Samples the same nets as WireSample from the settled arena.
+template <int N>
+struct VcInputChannel::ArenaSample {
+  const std::uint64_t* w;
+  const EdgeCtx<N>* c;
+
+  static constexpr int vcs() { return N; }
+
+  bool val() const { return sim::opBit(w, c->val); }
+  int vc() const { return static_cast<int>(sim::opWord32(w, c->vc)); }
+  Flit flit() const {
+    Flit f;
+    f.data = sim::opFlitData(w, c->flitWord);
+    f.bop = sim::opFlitBop(w, c->flitWord);
+    f.eop = sim::opFlitEop(w, c->flitWord);
+    return f;
+  }
+  unsigned gnt(int v) const {
+    unsigned mask = 0;
+    for (int o = 0; o < kNumPorts; ++o)
+      mask |= static_cast<unsigned>(sim::opBit(w, c->gnt[v][o])) << o;
+    return mask;
+  }
+  bool rd(int v, int o) const { return sim::opBit(w, c->rd[v][o]); }
+};
+
+template <int N>
+void VcInputChannel::edgeOp(std::uint64_t* w, void* vctx) {
+  const auto* c = static_cast<const EdgeCtx<N>*>(vctx);
+  c->ch->commitEdge(ArenaSample<N>{w, c});
+}
+
+template <int N>
+void VcInputChannel::describeEdge(sim::Lowering& lw) {
+  EdgeCtx<N> edge;
+  edge.ch = this;
+  edge.val = lw.bit(in_->val);
+  edge.vc = lw.word32(in_->vc);
+  edge.flitWord = lw.flitWord(in_->flit.data, in_->flit.bop, in_->flit.eop);
+  for (int v = 0; v < N; ++v) {
+    const CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
+    for (int o = 0; o < kNumPorts; ++o) {
+      edge.gnt[v][o] = lw.bit(xb.gnt[static_cast<std::size_t>(o)]);
+      edge.rd[v][o] = lw.bit(xb.rd[static_cast<std::size_t>(o)]);
+    }
+  }
+  lw.edgeOp(&edgeOp<N>, lw.ctx(edge));
+}
+
 bool VcInputChannel::describe(sim::Lowering& lw) {
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
@@ -592,7 +693,17 @@ bool VcInputChannel::describe(sim::Lowering& lw) {
     lw.op(&vcCreditReturn, lw.ctx(credit), std::move(reads),
           {&in_->vcAck[vi]});
   }
-  lw.edgeCall(*this);
+  switch (numVCs_) {
+    case 2:
+      describeEdge<2>(lw);
+      break;
+    case 3:
+      describeEdge<3>(lw);
+      break;
+    default:
+      describeEdge<kMaxVCs>(lw);
+      break;
+  }
   return true;
 }
 

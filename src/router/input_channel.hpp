@@ -8,8 +8,8 @@
 /// channel's vc wire, and flow control switches to per-VC on/off (vcFree
 /// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.  The
 /// compiled kernel lowers it to one publish op per VC (plus, under credit
-/// flow control, one credit-return op per VC); its clock edge stays a
-/// behavioural clockEdge() call.
+/// flow control, one credit-return op per VC) and its clock edge to one
+/// edge op that runs the same commit body as clockEdge().
 #pragma once
 
 #include <array>
@@ -160,7 +160,7 @@ class VcInputChannel : public sim::Module {
 
   /// Compiled-kernel lowering: per VC, a publish op (reads only that VC's
   /// grant lines) and, under credit flow control, a credit-return op (reads
-  /// its grant and read lines); plus a clockEdge() call
+  /// its grant and read lines); plus one edge op over commitEdge()
   /// (router/input_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
@@ -175,6 +175,26 @@ class VcInputChannel : public sim::Module {
   }
   // Pop strobe computed from the settled crossbar wires.
   bool popFired(int v) const;
+  template <typename S>
+  static bool popFired(const S& s, int v, unsigned gnt);
+
+  // The clock edge — accept, pop, patience, occupancy and metrics — as one
+  // body for every kernel.  `S` samples the settled pre-edge nets:
+  // WireSample through Wire::get() (clockEdge()), ArenaSample<N> from the
+  // compiled edge op's slices.  Both provide vcs() (numVCs), val(), vc()
+  // and flit() for the link and, per VC, gnt(v) (a mask over the output
+  // ports) and rd(v, o).
+  template <typename S>
+  void commitEdge(const S& s);
+  struct WireSample;
+  template <int N>
+  struct EdgeCtx;
+  template <int N>
+  struct ArenaSample;
+  template <int N>
+  static void edgeOp(std::uint64_t* words, void* ctx);
+  template <int N>
+  void describeEdge(sim::Lowering& lw);
 
   // One VC's combinational outputs, a function of its registered FIFO and
   // patience state and of the input port its settled grant lines name

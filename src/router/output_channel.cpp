@@ -318,7 +318,9 @@ VcOutputChannel::VcOutputChannel(
 void VcOutputChannel::attachMetrics(const VcOutputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // Keep the compiled program in step with the edge path metrics select.
+  // The edge op reads the metrics through the channel, so the program
+  // stays valid; the notification keeps the contract every channel's
+  // attachMetrics shares (the single-VC lowering does fork on metrics).
   noteDescribeChanged();
 }
 
@@ -332,15 +334,42 @@ void VcOutputChannel::onReset() {
   vcFlitsSent_.fill(0);
 }
 
-bool VcOutputChannel::schedulable(int d) const {
+// Samples the settled pre-edge nets through Wire::get(): the behavioural
+// kernels' view for schedulable() and commitEdge().
+struct VcOutputChannel::WireSample {
+  const VcOutputChannel* ch;
+
+  int vcs() const { return ch->numVCs_; }
+
+  bool val() const { return ch->out_->val.get(); }
+  int vc() const { return ch->out_->vc.get(); }
+  bool eop() const { return ch->out_->flit.eop.get(); }
+  bool vcFree(int d) const {
+    return ch->out_->vcFree[static_cast<std::size_t>(d)].get();
+  }
+  bool vcAck(int d) const {
+    return ch->out_->vcAck[static_cast<std::size_t>(d)].get();
+  }
+  bool rok(int i, int v) const { return xbar(i, v).rok.get(); }
+  bool req(int i, int v) const {
+    return xbar(i, v).req[static_cast<std::size_t>(index(ch->ownPort_))].get();
+  }
+  unsigned want(int i, int v) const {
+    return static_cast<unsigned>(xbar(i, v).want.get());
+  }
+
+ private:
+  const CrossbarWires& xbar(int i, int v) const {
+    return (*ch->xbar_)[static_cast<std::size_t>(i)]
+                       [static_cast<std::size_t>(v)];
+  }
+};
+
+template <typename S>
+bool VcOutputChannel::schedulable(const S& s, int d) const {
   const Conn& c = conn_[static_cast<std::size_t>(d)];
-  if (!c.active) return false;
-  const CrossbarWires& src = (*xbar_)[static_cast<std::size_t>(c.inPort)]
-                                     [static_cast<std::size_t>(c.inVc)];
-  if (!src.rok.get()) return false;
-  if (!out_->vcFree[static_cast<std::size_t>(d)].get()) return false;
-  if (creditMode() && !credits_.available(d)) return false;
-  return true;
+  return c.active && s.rok(c.inPort, c.inVc) && s.vcFree(d) &&
+         (!creditMode() || credits_.available(d));
 }
 
 std::uint32_t VcOutputChannel::grantMask() const {
@@ -388,9 +417,10 @@ void VcOutputChannel::evaluate() {
   // on higher VCs) unless some VC's starvation counter crossed
   // kQosStarvationWindow, in which case the lowest-index starved VC wins so
   // escape VCs are always served within a bounded interval.
+  const WireSample wires{this};
   unsigned ready = 0;
   for (int d = 0; d < numVCs_; ++d)
-    if (schedulable(d)) ready |= 1u << d;
+    if (schedulable(wires, d)) ready |= 1u << d;
   const int sched = pickScheduled(ready);
   const Conn* sc =
       sched >= 0 ? &conn_[static_cast<std::size_t>(sched)] : nullptr;
@@ -417,18 +447,24 @@ void VcOutputChannel::evaluate() {
   }
 }
 
-void VcOutputChannel::clockEdge() {
-  const int own = index(ownPort_);
+void VcOutputChannel::clockEdge() { commitEdge(WireSample{this}); }
 
-  // 0. QoS starvation accounting, from pre-commit wire state (credits_ not
-  //    yet burned): a VC that could have sent but was not scheduled ages by
+template <typename S>
+void VcOutputChannel::commitEdge(const S& s) {
+  // numVCs_, known at compile time under ArenaSample so the loops unroll.
+  const int vcs = s.vcs();
+  const int own = index(ownPort_);
+  const bool val = s.val();
+  const int sent = val ? s.vc() : -1;
+
+  // 0. QoS starvation accounting, from pre-commit state (credits_ not yet
+  //    burned): a VC that could have sent but was not scheduled ages by
   //    one edge; a served or ineligible VC resets.  Bounded so a VC parked
   //    behind a full receiver cannot overflow the counter.
   if (params_.qosClasses) {
-    const int servedVc = out_->val.get() ? out_->vc.get() : -1;
-    for (int d = 0; d < numVCs_; ++d) {
+    for (int d = 0; d < vcs; ++d) {
       auto& age = starve_[static_cast<std::size_t>(d)];
-      if (schedulable(d) && d != servedVc) {
+      if (schedulable(s, d) && d != sent) {
         if (age <= kQosStarvationWindow) ++age;
       } else {
         age = 0;
@@ -438,29 +474,27 @@ void VcOutputChannel::clockEdge() {
 
   // 1. Commit the scheduled transfer: count, burn a credit, tear the
   //    connection down on the tail flit and advance the link RR.
-  if (out_->val.get()) {
-    const int d = out_->vc.get();
+  if (val) {
+    const auto d = static_cast<std::size_t>(sent);
     ++flitsSent_;
-    ++vcFlitsSent_[static_cast<std::size_t>(d)];
-    if (creditMode()) credits_.onSent(d);
-    if (out_->flit.eop.get()) conn_[static_cast<std::size_t>(d)].active = false;
-    schedRR_ = (d + 1) % numVCs_;
+    ++vcFlitsSent_[d];
+    if (creditMode()) credits_.onSent(sent);
+    if (s.eop()) conn_[d].active = false;
+    schedRR_ = (sent + 1) % vcs;
     if (metricsAttached_) {
       if (metrics_.flitsSent) metrics_.flitsSent->inc();
       if (metrics_.routerFlits) metrics_.routerFlits->inc();
-      if (metrics_.vcFlits[static_cast<std::size_t>(d)])
-        metrics_.vcFlits[static_cast<std::size_t>(d)]->inc();
+      if (metrics_.vcFlits[d]) metrics_.vcFlits[d]->inc();
     }
   }
-  if (metricsAttached_ && metrics_.busyCycles && out_->val.get())
+  if (metricsAttached_ && metrics_.busyCycles && val)
     metrics_.busyCycles->inc();
 
   // 2. Per-VC credit returns (pulses from the receiver; a faulted link
   //    passes these through even while down, so no credit is ever lost).
   if (creditMode()) {
-    for (int d = 0; d < numVCs_; ++d) {
-      if (out_->vcAck[static_cast<std::size_t>(d)].get()) credits_.onReturn(d);
-    }
+    for (int d = 0; d < vcs; ++d)
+      if (s.vcAck(d)) credits_.onReturn(d);
   }
 
   // 3. Allocation: hand each idle downstream VC to a matching requester.
@@ -476,12 +510,10 @@ void VcOutputChannel::clockEdge() {
     bidsRead = true;
     for (int i = 0; i < kNumPorts; ++i) {
       if (i == own) continue;
-      for (int v = 0; v < numVCs_; ++v) {
-        const CrossbarWires& x =
-            (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-        if (!x.req[static_cast<std::size_t>(own)].get()) continue;
-        const auto want = static_cast<unsigned>(x.want.get());
-        for (int d = 0; d < numVCs_; ++d)
+      for (int v = 0; v < vcs; ++v) {
+        if (!s.req(i, v)) continue;
+        const unsigned want = s.want(i, v);
+        for (int d = 0; d < vcs; ++d)
           if ((want >> d) & 1u)
             bids[static_cast<std::size_t>(d)] |= 1u << (i * kMaxVCs + v);
       }
@@ -489,7 +521,7 @@ void VcOutputChannel::clockEdge() {
   };
   int grantsIssued = 0;
   const int slots = kNumPorts * kMaxVCs;
-  for (int d = 0; d < numVCs_; ++d) {
+  for (int d = 0; d < vcs; ++d) {
     if (conn_[static_cast<std::size_t>(d)].active) continue;
     // Duato guard: never hand out a downstream VC that cannot accept a
     // flit right now.  An allocated header is committed — its patience
@@ -498,7 +530,7 @@ void VcOutputChannel::clockEdge() {
     // flits closes wait cycles the escape layer can never break (a Bulk
     // flood confined to one lane by the QoS class map wedges a ring this
     // way).  Keeping the header unallocated keeps its escape bid alive.
-    if (!out_->vcFree[static_cast<std::size_t>(d)].get()) continue;
+    if (!s.vcFree(d)) continue;
     if (creditMode() && !credits_.available(d)) continue;
     if (!bidsRead) readBids();
     const int slot = vcArbitrate(bids[static_cast<std::size_t>(d)] & ~consumed,
@@ -517,13 +549,8 @@ void VcOutputChannel::clockEdge() {
       bool waiting = false;
       for (int i = 0; i < kNumPorts && !waiting; ++i) {
         if (i == own) continue;
-        for (int v = 0; v < numVCs_ && !waiting; ++v) {
-          const CrossbarWires& x =
-              (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(
-                  v)];
-          waiting = x.req[static_cast<std::size_t>(own)].get() &&
-                    ((consumed >> (i * kMaxVCs + v)) & 1u) == 0;
-        }
+        for (int v = 0; v < vcs && !waiting; ++v)
+          waiting = s.req(i, v) && ((consumed >> (i * kMaxVCs + v)) & 1u) == 0;
       }
       if (waiting) metrics_.conflictCycles->inc();
     }
@@ -545,6 +572,11 @@ void VcOutputChannel::clockEdge() {
 // Fused, the two would make every input channel's publish (which reads
 // gnt) depend on its own rok through the scheduler — the cycle that kept
 // whole VC networks in one iterated segment.
+//
+// The clock edge lowers to one edge op running commitEdge() over
+// ArenaSample<numVCs>, whose context carries slices for the channel's
+// numVCs only.  The requests and want masks are still read lazily, only
+// when an idle downstream VC with space needs them.
 
 struct VcOutputChannel::GrantCtx {
   const VcOutputChannel* ch = nullptr;
@@ -561,6 +593,35 @@ struct VcOutputChannel::ScheduleCtx {
   sim::Slice outVc, outVal;
 };
 
+template <int N>
+struct VcOutputChannel::EdgeCtx {
+  static constexpr int kVCs = N;
+  VcOutputChannel* ch = nullptr;
+  sim::Slice val, vc;
+  std::uint32_t outWord = 0;
+  sim::Slice vcFree[N], vcAck[N];  // vcAck: credit flow control only
+  sim::Slice rok[kNumPorts][N], req[kNumPorts][N], want[kNumPorts][N];
+};
+
+// Samples the same nets as WireSample from the settled arena, through the
+// slices of an edge or schedule context.
+template <typename Ctx>
+struct VcOutputChannel::ArenaSample {
+  const std::uint64_t* w;
+  const Ctx* c;
+
+  static constexpr int vcs() { return Ctx::kVCs; }
+
+  bool val() const { return sim::opBit(w, c->val); }
+  int vc() const { return static_cast<int>(sim::opWord32(w, c->vc)); }
+  bool eop() const { return sim::opFlitEop(w, c->outWord); }
+  bool vcFree(int d) const { return sim::opBit(w, c->vcFree[d]); }
+  bool vcAck(int d) const { return sim::opBit(w, c->vcAck[d]); }
+  bool rok(int i, int v) const { return sim::opBit(w, c->rok[i][v]); }
+  bool req(int i, int v) const { return sim::opBit(w, c->req[i][v]); }
+  unsigned want(int i, int v) const { return sim::opWord32(w, c->want[i][v]); }
+};
+
 void VcOutputChannel::grantOp(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<const GrantCtx*>(vctx);
   const VcOutputChannel& ch = *c->ch;
@@ -574,14 +635,10 @@ void VcOutputChannel::grantOp(std::uint64_t* w, void* vctx) {
 void VcOutputChannel::scheduleOp(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<const ScheduleCtx*>(vctx);
   const VcOutputChannel& ch = *c->ch;
+  const ArenaSample<ScheduleCtx> arena{w, c};
   unsigned ready = 0;
-  for (int d = 0; d < ch.numVCs_; ++d) {
-    const Conn& k = ch.conn_[static_cast<std::size_t>(d)];
-    if (k.active && sim::opBit(w, c->rok[k.inPort][k.inVc]) &&
-        sim::opBit(w, c->vcFree[d]) &&
-        (!ch.creditMode() || ch.credits_.available(d)))
-      ready |= 1u << d;
-  }
+  for (int d = 0; d < ch.numVCs_; ++d)
+    if (ch.schedulable(arena, d)) ready |= 1u << d;
   const int sched = ch.pickScheduled(ready);
   int readSlot = -1;  // inPort * kMaxVCs + inVc of the scheduled source
   if (sched >= 0) {
@@ -598,6 +655,37 @@ void VcOutputChannel::scheduleOp(std::uint64_t* w, void* vctx) {
   for (int i = 0; i < kNumPorts; ++i)
     for (int v = 0; v < ch.numVCs_; ++v)
       sim::opPutBit(w, c->rd[i][v], i * kMaxVCs + v == readSlot);
+}
+
+template <int N>
+void VcOutputChannel::edgeOp(std::uint64_t* w, void* vctx) {
+  const auto* c = static_cast<const EdgeCtx<N>*>(vctx);
+  c->ch->commitEdge(ArenaSample<EdgeCtx<N>>{w, c});
+}
+
+template <int N>
+void VcOutputChannel::describeEdge(sim::Lowering& lw) {
+  const auto own = static_cast<std::size_t>(index(ownPort_));
+  EdgeCtx<N> edge;
+  edge.ch = this;
+  edge.val = lw.bit(out_->val);
+  edge.vc = lw.word32(out_->vc);
+  edge.outWord = lw.flitWord(out_->flit.data, out_->flit.bop, out_->flit.eop);
+  for (int d = 0; d < N; ++d) {
+    const auto di = static_cast<std::size_t>(d);
+    edge.vcFree[d] = lw.bit(out_->vcFree[di]);
+    if (creditMode()) edge.vcAck[d] = lw.bit(out_->vcAck[di]);
+  }
+  for (int i = 0; i < kNumPorts; ++i) {
+    for (int v = 0; v < N; ++v) {
+      const CrossbarWires& x =
+          (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
+      edge.rok[i][v] = lw.bit(x.rok);
+      edge.req[i][v] = lw.bit(x.req[own]);
+      edge.want[i][v] = lw.word32(x.want);
+    }
+  }
+  lw.edgeOp(&edgeOp<N>, lw.ctx(edge));
 }
 
 bool VcOutputChannel::describe(sim::Lowering& lw) {
@@ -635,7 +723,17 @@ bool VcOutputChannel::describe(sim::Lowering& lw) {
   lw.op(&grantOp, lw.ctx(grant), {}, std::move(gntWrites));
   lw.op(&scheduleOp, lw.ctx(sched), std::move(schedReads),
         std::move(schedWrites));
-  lw.edgeCall(*this);
+  switch (numVCs_) {
+    case 2:
+      describeEdge<2>(lw);
+      break;
+    case 3:
+      describeEdge<3>(lw);
+      break;
+    default:
+      describeEdge<kMaxVCs>(lw);
+      break;
+  }
   return true;
 }
 

@@ -177,8 +177,8 @@ class VcOutputChannel : public sim::Module {
 
   /// Compiled-kernel lowering: a grant op (the registered connection table
   /// onto the gnt lines; reads no wire) and a schedule op (link scheduler,
-  /// read strobes and the output data switch), plus a clockEdge() call
-  /// (router/output_channel.cpp).
+  /// read strobes and the output data switch), plus one edge op over
+  /// commitEdge() (router/output_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -191,8 +191,10 @@ class VcOutputChannel : public sim::Module {
     return flowControl_ == FlowControl::CreditBased;
   }
   // Downstream VC d is connected, its source has a flit ready, and the
-  // receiver can take it — the link scheduler's candidate predicate.
-  bool schedulable(int d) const;
+  // receiver can take it — the link scheduler's candidate predicate, over
+  // the nets sampled by `s` (see commitEdge).
+  template <typename S>
+  bool schedulable(const S& s, int d) const;
   // The link scheduler's pick among the downstream VCs whose bit is set in
   // `ready` (schedulable(d)), or -1.  evaluate() and the compiled schedule
   // op share it.
@@ -200,6 +202,27 @@ class VcOutputChannel : public sim::Module {
   // The (input port, input VC) slots holding a connection, as bits
   // inPort * kMaxVCs + inVc: the gnt lines this channel drives.
   std::uint32_t grantMask() const;
+
+  // The clock edge — QoS starvation ageing, the send commit, credit burn
+  // and return, connection teardown and the space-guarded VC allocation,
+  // with the metrics hooks — as one body for every kernel.  `S` samples
+  // the settled pre-edge nets: WireSample through Wire::get()
+  // (clockEdge()), ArenaSample<EdgeCtx<N>> from the compiled edge op's
+  // slices.
+  // Both provide vcs() (numVCs), val(), vc() and eop() for the output
+  // link, vcFree(d) and vcAck(d) per downstream VC, and rok(i, v),
+  // req(i, v) and want(i, v) per (input port, input VC).
+  template <typename S>
+  void commitEdge(const S& s);
+  struct WireSample;
+  template <int N>
+  struct EdgeCtx;
+  template <typename Ctx>
+  struct ArenaSample;
+  template <int N>
+  static void edgeOp(std::uint64_t* words, void* ctx);
+  template <int N>
+  void describeEdge(sim::Lowering& lw);
 
   struct GrantCtx;
   struct ScheduleCtx;

@@ -100,6 +100,7 @@ void Lowering::edgeOp(OpFn fn, void* ctx) {
 
 void Lowering::edgeCall(Module& m) {
   prog_.edges_.push_back({nullptr, nullptr, &m});
+  ++prog_.edgeCallCount_;
 }
 
 // --- build ------------------------------------------------------------------

@@ -229,6 +229,8 @@ class CompiledProgram {
   std::size_t opCount() const { return opCount_; }
   std::size_t thunkCount() const { return units_.size() - opCount_; }
   std::size_t edgeItemCount() const { return edges_.size(); }
+  // Edge-tape entries that fall back to a behavioural clockEdge() call.
+  std::size_t edgeCallCount() const { return edgeCallCount_; }
   std::size_t segmentCount() const { return segments_.size(); }
   std::size_t iterateSegmentCount() const { return iterateSegments_; }
   std::uint64_t discoveryEvaluations() const { return discoveryEvals_; }
@@ -366,6 +368,7 @@ class CompiledProgram {
   void packContexts();
 
   std::size_t opCount_ = 0;
+  std::size_t edgeCallCount_ = 0;
   std::size_t iterateSegments_ = 0;
   std::uint64_t discoveryEvals_ = 0;
 };

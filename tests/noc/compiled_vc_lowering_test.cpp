@@ -3,10 +3,11 @@
 //
 //  1. Program-shape gate — a fault-free network levelizes to one linear
 //     op tape at every VC count, QoS setting and flow-control mode: no
-//     iterated segment, and thunks only for the documented residue (the
-//     single-VC network interface; nothing at numVCs > 1).  Credit flow
-//     control is the trap case: a unit that drove both vcFree and vcAck
-//     would close a cycle through the neighbouring router or the NI.  Each
+//     iterated segment and no thunk.  Credit flow control is the trap
+//     case: a unit that drove both vcFree and vcAck would close a cycle
+//     through the neighbouring router or the NI.  The edge tape falls back
+//     to behavioural clockEdge() calls only for the documented residue
+//     (the NIs and traffic generators; no router channel).  Each
 //     configuration also runs against an event-driven twin, so a lowering
 //     that levelizes but computes the wrong function fails here too.
 //  2. Telemetry after the first settle — attaching VC channel metrics must
@@ -107,14 +108,15 @@ TEST(CompiledVcLoweringTest, FaultFreeNetworksLevelizeToOneLinearTape) {
         compiled->simulator().compiledProgram();
     ASSERT_NE(prog, nullptr);
     EXPECT_EQ(prog->iterateSegmentCount(), 0u);
-    // The documented residue: the single-VC network interface is a
-    // declared thunk; at numVCs > 1 every module lowers to ops.
-    const std::size_t residue =
-        shape.numVCs == 1
-            ? static_cast<std::size_t>(compiled->topology().nodes())
-            : 0u;
-    EXPECT_EQ(prog->thunkCount(), residue);
-    EXPECT_EQ(prog->opCount() + prog->thunkCount(), prog->unitCount());
+    // Every module's settle half lowers to ops, the single-VC NI included.
+    EXPECT_EQ(prog->thunkCount(), 0u);
+    EXPECT_EQ(prog->opCount(), prog->unitCount());
+    // The documented edge residue: one clockEdge() call per NI and per
+    // traffic generator (one generator per flow and node); every channel
+    // edge is an edge op.
+    const auto nodes = static_cast<std::size_t>(compiled->topology().nodes());
+    const std::size_t flows = shape.qos ? 2 : 1;
+    EXPECT_EQ(prog->edgeCallCount(), nodes + flows * nodes);
 
     EXPECT_TRUE(compiled->healthy());
     EXPECT_GT(compiled->ledger().delivered(), 0u);

@@ -187,13 +187,12 @@ TEST(CompiledGoldenTest, MeshFingerprintsMatchEventDrivenGoldens) {
     EXPECT_DOUBLE_EQ(net->ledger().networkLatency().mean(), g.netMean);
     EXPECT_TRUE(net->healthy());
     // The run must actually have executed a lowered program, with the
-    // router subtrees as word-level ops (thunks cover only the NIs) and no
-    // iterated segments (a fault-free network is acyclic at op granularity).
+    // routers and NIs all word-level ops (no thunk left) and no iterated
+    // segments (a fault-free network is acyclic at op granularity).
     const sim::CompiledProgram* prog = net->simulator().compiledProgram();
     ASSERT_NE(prog, nullptr);
     EXPECT_GT(prog->opCount(), 0u);
-    EXPECT_GT(prog->thunkCount(), 0u);
-    EXPECT_LT(prog->thunkCount(), prog->opCount() / 4);
+    EXPECT_EQ(prog->thunkCount(), 0u);
     EXPECT_EQ(prog->iterateSegmentCount(), 0u);
   }
 }
