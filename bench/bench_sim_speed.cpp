@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "noc/mesh.hpp"
 #include "noc/network.hpp"
 #include "router/rasoc.hpp"
 #include "sim/simulator.hpp"
@@ -28,18 +27,17 @@ void BM_SingleRouterIdle(benchmark::State& state) {
 BENCHMARK(BM_SingleRouterIdle);
 
 // Shared body of the under-load benches.  Args: (side, kernel, vcs, qos)
-// with kernel 0 = naive fixpoint, 1 = event-driven, 2 = parallel with 2
-// threads, 3 = parallel with 4 threads, 4 = compiled (word-packed arena +
-// levelized op tape); vcs = RouterParams::numVCs; qos = 1 turns on traffic
-// classes and adds a Control probe beside the load, which then rides the
-// Bulk class (the bench_noc_loadsweep --qos mix).  Compare
-// BM_MeshUnderLoad/side:8/kernel:0 against kernel:1 for the scheduler
-// speedup, side:16 kernel:1 against kernel:3 for the parallel speedup and
-// kernel:1 against kernel:4 at each vcs/qos for the lowering speedup;
-// `evals_per_cycle` counts evaluate() calls and shows where it comes from
-// (near zero under the compiled kernel: only fallback thunks evaluate).
-// Rates are wall clock (UseRealTime), so threaded kernels are not
-// flattered by main-thread CPU time.
+// with kernel 0 = naive fixpoint, 1 = event-driven, 4 = compiled
+// (word-packed arena + levelized op tape; ids 2/3 belonged to a deleted
+// kernel and stay unused so existing filters keep their meaning);
+// vcs = RouterParams::numVCs; qos = 1 turns on traffic classes and adds a
+// Control probe beside the load, which then rides the Bulk class (the
+// bench_noc_loadsweep --qos mix).  Compare BM_MeshUnderLoad/side:8/kernel:0
+// against kernel:1 for the scheduler speedup and kernel:1 against kernel:4
+// at each vcs/qos for the lowering speedup; `evals_per_cycle` counts
+// evaluate() calls and shows where it comes from (near zero under the
+// compiled kernel: only fallback thunks evaluate).  Rates are wall clock
+// (UseRealTime).
 void runUnderLoad(benchmark::State& state, const char* topology) {
   const int side = static_cast<int>(state.range(0));
   noc::NetworkConfig cfg;
@@ -52,10 +50,7 @@ void runUnderLoad(benchmark::State& state, const char* topology) {
     case 0: cfg.kernel = sim::Simulator::Kernel::Naive; break;
     case 1: cfg.kernel = sim::Simulator::Kernel::EventDriven; break;
     case 4: cfg.kernel = sim::Simulator::Kernel::Compiled; break;
-    default:
-      cfg.kernel = sim::Simulator::Kernel::ParallelEventDriven;
-      cfg.threads = state.range(1) == 2 ? 2 : 4;
-      break;
+    default: state.SkipWithError("unknown kernel id"); return;
   }
   noc::Network net(noc::makeTopology(topology, side, side), cfg);
   noc::FlowSpec load;
@@ -86,7 +81,6 @@ void BM_MeshUnderLoad(benchmark::State& state) { runUnderLoad(state, "mesh"); }
 BENCHMARK(BM_MeshUnderLoad)
     ->ArgNames({"side", "kernel", "vcs", "qos"})
     ->ArgsProduct({{2, 4, 6, 8}, {0, 1}, {1}, {0}})
-    ->ArgsProduct({{8, 16}, {2, 3}, {1}, {0}})
     ->Args({16, 1, 1, 0})
     ->ArgsProduct({{8, 16, 32}, {4}, {1}, {0}})
     // The VC axis: event-driven vs compiled at 2 and 4 VCs, and with QoS.
@@ -95,15 +89,14 @@ BENCHMARK(BM_MeshUnderLoad)
     ->UseRealTime();
 
 // Torus counterpart of BM_MeshUnderLoad (same arg encoding): the wrap
-// links add cross-partition frontier edges at both ends of every strip, the
-// parallel kernel's worst case for a contiguous-block partition, and a
-// second escape VC per port at numVCs > 1.
+// links double the long-haul paths and add a second escape VC per port at
+// numVCs > 1.
 void BM_TorusUnderLoad(benchmark::State& state) {
   runUnderLoad(state, "torus");
 }
 BENCHMARK(BM_TorusUnderLoad)
     ->ArgNames({"side", "kernel", "vcs", "qos"})
-    ->ArgsProduct({{8, 16}, {1, 2, 3, 4}, {1}, {0}})
+    ->ArgsProduct({{8, 16}, {1, 4}, {1}, {0}})
     ->ArgsProduct({{8, 16}, {1, 4}, {2, 4}, {0}})
     ->ArgsProduct({{8, 16}, {1, 4}, {4}, {1}})
     ->UseRealTime();
@@ -113,11 +106,10 @@ BENCHMARK(BM_TorusUnderLoad)
 // (null-sink runs pay only a per-channel branch and are covered above).
 void BM_MeshUnderLoadTelemetry(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{side, side};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(side, side), cfg);
   telemetry::MetricsRegistry registry;
   mesh.enableTelemetry(registry);
   noc::TrafficConfig traffic;

@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "noc/observe.hpp"
 #include "noc/watchdog.hpp"
 
@@ -26,11 +26,11 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
 
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{3, 3};
+  const noc::MeshShape shape{3, 3};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(shape), cfg);
 
   telemetry::MetricsRegistry registry;
   mesh.enableTelemetry(registry);
@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cycles));
 
   const auto throughput =
-      noc::throughputHeatmap(registry, cfg.shape, cycles);
-  const auto congestion = noc::congestionHeatmap(registry, cfg.shape, cycles);
+      noc::throughputHeatmap(registry, shape, cycles);
+  const auto congestion = noc::congestionHeatmap(registry, shape, cycles);
   const auto backpressure =
-      noc::backpressureHeatmap(registry, cfg.shape, cycles);
+      noc::backpressureHeatmap(registry, shape, cycles);
   std::fputs(throughput.ascii().c_str(), stdout);
   std::printf("\n");
   std::fputs(congestion.ascii().c_str(), stdout);
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   // Every packet's lifecycle is reconstructed (NI queueing, per-hop buffer
   // residency, arbitration, ejection) and folded into a latency
   // decomposition whose components sum exactly to the end-to-end latency.
-  noc::Mesh hotMesh(cfg);
+  noc::Network hotMesh(std::make_shared<noc::MeshTopology>(shape), cfg);
   noc::FlowTracer& tracer = hotMesh.enableTracing();
 
   noc::TrafficConfig hotTraffic = traffic;

@@ -73,7 +73,8 @@ void Lowering::op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
 
 void Lowering::thunk(Module& m) {
   // Discover the write set by running evaluate() once under the write
-  // recorder (stable-write-set contract, shared with the partitioner).
+  // recorder (stable-write-set contract: evaluate() drives the same wires
+  // on every call).
   std::vector<const WireBase*> writes;
   SettleContext::armWriteRecorder(&writes);
   m.evaluateOne();

@@ -1,12 +1,13 @@
 // Randomized differential fuzzing of the compiled settle kernel.  Every
-// scenario is seeded and fully reproducible, mirroring
-// parallel_fuzz_test.cpp: a random small topology (mesh / torus / ring),
-// a random traffic pattern valid for that topology, run flit-for-flit
-// against an event-driven reference network built from the identical
-// configuration.  On top of the lockstep sweep, two compile-pass edge
-// cases get dedicated coverage: Wire::force poke-window writes landing in
-// the word-packed arena (via describing modules whose wires are
-// arena-bound), and mid-run reset() recompiling the op tape cleanly.
+// scenario is seeded and fully reproducible: a random small topology
+// (mesh / torus / ring), a random traffic pattern valid for that topology,
+// run flit-for-flit against an event-driven reference network built from
+// the identical configuration.  On top of the lockstep sweep, runUntil's
+// verdicts (met within budget, met exactly at the budget, missed by one
+// cycle, zero budget) must agree cycle for cycle, and two compile-pass
+// edge cases get dedicated coverage: Wire::force poke-window writes
+// landing in the word-packed arena (via describing modules whose wires
+// are arena-bound), and mid-run reset() recompiling the op tape cleanly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -120,6 +121,56 @@ TEST(CompiledFuzzTest, RandomTopologiesMatchEventDrivenFlitForFlit) {
     EXPECT_DOUBLE_EQ(ref->ledger().packetLatency().mean(),
                      com->ledger().packetLatency().mean());
   }
+}
+
+TEST(CompiledFuzzTest, RunUntilBoundariesAgreeWithEventDriven) {
+  // runUntil must return the same verdict at the same cycle under both
+  // kernels: predicate met within budget, met exactly at the budget, and
+  // missed by one cycle.
+  for (int i = 0; i < 6; ++i) {
+    const Scenario s = randomScenario(0xb07de2e5u + 131u * i);
+    SCOPED_TRACE("scenario " + std::to_string(i) + ": " + s.describe());
+    auto ref = buildNet(s, Simulator::Kernel::EventDriven);
+    auto com = buildNet(s, Simulator::Kernel::Compiled);
+
+    const std::uint64_t goal = 5 + static_cast<std::uint64_t>(i);
+    const bool refMet = ref->simulator().runUntil(
+        [&] { return ref->ledger().delivered() >= goal; }, s.cycles);
+    const bool comMet = com->simulator().runUntil(
+        [&] { return com->ledger().delivered() >= goal; }, s.cycles);
+    ASSERT_EQ(refMet, comMet);
+    ASSERT_EQ(ref->simulator().cycle(), com->simulator().cycle());
+    ASSERT_EQ(ref->ledger().delivered(), com->ledger().delivered());
+
+    if (refMet) {
+      // The predicate first held at cycle() == exact, i.e. on runUntil's
+      // (exact+1)-th check.  Re-run fresh networks with the budget cut to
+      // exactly that check, then one short of it: met / not met.
+      const std::uint64_t exact = ref->simulator().cycle();
+      for (const std::uint64_t budget : {exact + 1, exact}) {
+        auto ref2 = buildNet(s, Simulator::Kernel::EventDriven);
+        auto com2 = buildNet(s, Simulator::Kernel::Compiled);
+        const bool ref2Met = ref2->simulator().runUntil(
+            [&] { return ref2->ledger().delivered() >= goal; }, budget);
+        const bool com2Met = com2->simulator().runUntil(
+            [&] { return com2->ledger().delivered() >= goal; }, budget);
+        ASSERT_EQ(ref2Met, com2Met) << "budget " << budget;
+        ASSERT_EQ(ref2Met, budget == exact + 1) << "budget " << budget;
+        ASSERT_EQ(ref2->simulator().cycle(), com2->simulator().cycle())
+            << "budget " << budget;
+      }
+    }
+  }
+}
+
+TEST(CompiledFuzzTest, ZeroCycleRunUntilAgrees) {
+  // maxCycles == 0 never advances and never satisfies the predicate.
+  const Scenario s = randomScenario(0x5eed);
+  auto ref = buildNet(s, Simulator::Kernel::EventDriven);
+  auto com = buildNet(s, Simulator::Kernel::Compiled);
+  EXPECT_FALSE(ref->simulator().runUntil([] { return true; }, 0));
+  EXPECT_FALSE(com->simulator().runUntil([] { return true; }, 0));
+  EXPECT_EQ(ref->simulator().cycle(), com->simulator().cycle());
 }
 
 TEST(CompiledFuzzTest, MidRunResetRecompilesCleanly) {

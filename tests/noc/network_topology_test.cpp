@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "noc/mesh.hpp"
 #include "sim/rng.hpp"
 
 namespace rasoc::noc {
@@ -353,18 +352,6 @@ TEST(LockstepGoldenTest, MeshTopologyNetworkMatchesPreRefactorMesh) {
       EXPECT_DOUBLE_EQ(net.ledger().networkLatency().mean(), golden.netMean);
     }
   }
-}
-
-TEST(MeshCompatTest, MeshIsANetworkOverMeshTopology) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{3, 3};
-  Mesh mesh(cfg);
-  EXPECT_EQ(mesh.topology().kind(), "mesh");
-  EXPECT_EQ(mesh.topology().describe(), "mesh3x3");
-  EXPECT_EQ(mesh.shape().width, 3);
-  EXPECT_EQ(mesh.config().shape.height, 3);
-  Network& asNetwork = mesh;
-  EXPECT_EQ(asNetwork.linkCount(), 24u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/module.hpp"
@@ -235,6 +236,29 @@ TEST(SimulatorTest, MaxSettleIterationsIsConfigurable) {
   EXPECT_EQ(sim.maxSettleIterations(), 7);
 }
 
+TEST(SimulatorTest, MaxSettleIterationsBelowOneIsRejectedUnderEveryKernel) {
+  // Regression: a bound below one used to be stored as given, so the naive
+  // kernel ran zero passes and threw "no fixpoint" on the first settle
+  // while the event-driven and compiled kernels clamped it to one and ran
+  // normally.  It is now rejected up front, and the old bound stays.
+  for (const auto kernel :
+       {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven,
+        Simulator::Kernel::Compiled}) {
+    SCOPED_TRACE(static_cast<int>(kernel));
+    Wire<int> a{1}, b;
+    Increment inc("inc", a, b);
+    Simulator sim;
+    sim.setKernel(kernel);
+    sim.add(inc);
+    const int before = sim.maxSettleIterations();
+    EXPECT_THROW(sim.setMaxSettleIterations(0), std::invalid_argument);
+    EXPECT_THROW(sim.setMaxSettleIterations(-1), std::invalid_argument);
+    EXPECT_EQ(sim.maxSettleIterations(), before);
+    EXPECT_NO_THROW(sim.settle());
+    EXPECT_EQ(b.get(), 2);
+  }
+}
+
 // --- event-driven kernel ------------------------------------------------
 
 TEST(EventDrivenKernelTest, SettlesChainedModulesAndTracksPokes) {
@@ -322,7 +346,7 @@ TEST(EventDrivenKernelTest, KernelSwitchMidRunIsRejected) {
   EXPECT_THROW(sim.setKernel(Simulator::Kernel::EventDriven),
                std::logic_error);
   EXPECT_EQ(sim.kernel(), Simulator::Kernel::Naive);  // switch not applied
-  EXPECT_THROW(sim.setKernel(Simulator::Kernel::ParallelEventDriven),
+  EXPECT_THROW(sim.setKernel(Simulator::Kernel::Compiled),
                std::logic_error);
   sim.settle();
   EXPECT_EQ(plusOne.get(), 4);  // the rejected switch did not disturb state
