@@ -33,11 +33,14 @@
 // intensities.  Exactly-once must hold *per class* (data frames carry
 // the submitter's class end to end; retransmissions and ACKs ride the
 // Control-bound reliability class), and the Control probe's p99 must
-// stay put while faults hammer the Bulk lane.
+// stay put while faults hammer the Bulk lane.  Its RunReport artifact
+// (default bench_noc_faultsweep_qos_report.json) is the instrumented cell
+// at the highest fault rate, with the `qos` and `reliability` sections.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,13 +57,8 @@ using namespace rasoc;
 
 namespace {
 
-std::string gTopology = "mesh";
-sim::Simulator::Kernel gKernel = noc::NetworkConfig{}.kernel;
-int gVcs = 1;
+bench::SweepFlags gFlags;
 bool gQuick = false;
-bool gQos = false;
-std::string gTracePath;  // empty = flit tracing off
-std::uint64_t gTraceSample = 1;
 
 int measureCycles() { return gQuick ? 800 : 3000; }
 
@@ -75,7 +73,7 @@ std::vector<double> loads() {
 }
 
 std::shared_ptr<const noc::Topology> makeBenchTopology() {
-  return noc::makeTopology(gTopology, 4, 4);
+  return noc::makeTopology(gFlags.topology, 4, 4);
 }
 
 // Scales a scalar fault intensity into a full campaign: the intensity is
@@ -100,9 +98,9 @@ noc::NetworkConfig benchConfig(double intensity, bool reliable,
   noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  if (gTopology == "ring") cfg.params.m = 10;
-  cfg.params.numVCs = vcs > 0 ? vcs : gVcs;
-  cfg.kernel = gKernel;
+  if (gFlags.topology == "ring") cfg.params.m = 10;
+  cfg.params.numVCs = vcs > 0 ? vcs : gFlags.vcs;
+  cfg.kernel = gFlags.kernel;
   cfg.hlpParity = true;  // same wire format in both tables
   if (reliable) {
     cfg.reliability.enabled = true;
@@ -192,6 +190,13 @@ noc::FlowSpec qosFlow(router::TrafficClass cls, double load, int payload,
   return flow;
 }
 
+// Bulk at 0.10: the class map confines Bulk to a single adaptive lane,
+// which saturates well before the whole-fabric knee — 0.10 keeps the
+// lane's queueing delay under the RTO so congestion does not masquerade
+// as loss in the timeout column.
+constexpr double kQosControlLoad = 0.02;
+constexpr double kQosBulkLoad = 0.10;
+
 struct QosCell {
   std::uint64_t ctrlQueued = 0;
   std::uint64_t ctrlDelivered = 0;
@@ -204,18 +209,26 @@ struct QosCell {
   bool drained = false;
 };
 
-QosCell runQosCell(double intensity) {
+// One QoS-over-reliability cell.  With `reportJson` set the run is also
+// instrumented (telemetry and a watchdog) and its RunReport, with the
+// `qos` and `reliability` sections, is stored there.
+QosCell runQosCell(double intensity, std::string* reportJson = nullptr) {
   auto topology = makeBenchTopology();
   noc::NetworkConfig cfg = benchConfig(intensity, /*reliable=*/true, 4);
   cfg.params.qosClasses = true;
   noc::Network net(topology, cfg);
-  // Bulk at 0.10: the class map confines Bulk to a single adaptive lane,
-  // which saturates well before the whole-fabric knee — 0.10 keeps the
-  // lane's queueing delay under the RTO so congestion does not
-  // masquerade as loss in the timeout column.
+  telemetry::MetricsRegistry registry;
+  std::optional<noc::Watchdog> watchdog;
+  if (reportJson) {
+    net.enableTelemetry(registry);
+    watchdog.emplace("dog", net.ledger(), 500,
+                     [&net] { return net.blockedLinkNames(); },
+                     [&net] { return net.blockedLinkTraceDump(); });
+    net.simulator().add(*watchdog);
+  }
   net.attachTraffic(std::vector<noc::FlowSpec>{
-      qosFlow(router::TrafficClass::Control, 0.02, 2, 99),
-      qosFlow(router::TrafficClass::Bulk, 0.10, 6, 7)});
+      qosFlow(router::TrafficClass::Control, kQosControlLoad, 2, 99),
+      qosFlow(router::TrafficClass::Bulk, kQosBulkLoad, 6, 7)});
   const int cycles = measureCycles();
   net.run(static_cast<std::uint64_t>(cycles));
   net.pauseTraffic(true);
@@ -234,23 +247,37 @@ QosCell runQosCell(double intensity) {
   const noc::ReliabilityStats rs = net.reliabilityStats();
   cell.retransmits = rs.retransmissions;
   cell.timeouts = rs.timeouts;
+  if (reportJson) {
+    telemetry::RunReport report =
+        noc::buildRunReport("faultsweep.qos", net, &*watchdog);
+    report.set("run", "fault_intensity", intensity);
+    report.set("run", "control_load", kQosControlLoad);
+    report.set("run", "bulk_load", kQosBulkLoad);
+    report.set("run", "kernel", bench::kernelName(gFlags.kernel));
+    report.set("run", "seed", std::uint64_t{99});
+    *reportJson = report.toJson();
+  }
   return cell;
 }
 
-int runQosSweep() {
+// The RunReport at `path` is the instrumented cell at the highest fault
+// rate.
+int runQosSweep(const std::string& path) {
   std::printf(
       "RASoC %s QoS-over-reliability sweep (16 nodes, n=16, 4 VCs, "
       "qosClasses, reliable transport, %d measured cycles + drain, %s "
       "kernel)\n\n",
       makeBenchTopology()->describe().c_str(), measureCycles(),
-      bench::kernelName(gKernel));
+      bench::kernelName(gFlags.kernel));
 
   int exitCode = 0;
   tech::Table table({"fault rate", "ctrl q/d", "ctrl lost", "ctrl p99",
                      "ctrl net p99", "bulk q/d", "bulk lost", "retx",
                      "timeouts", "drained"});
+  std::string reportJson;
   for (double rate : faultRates()) {
-    const QosCell cell = runQosCell(rate);
+    const QosCell cell = runQosCell(
+        rate, rate == faultRates().back() ? &reportJson : nullptr);
     const std::uint64_t ctrlLost = cell.ctrlQueued - cell.ctrlDelivered;
     const std::uint64_t bulkLost = cell.bulkQueued - cell.bulkDelivered;
     table.addRow({fmt(rate, "%.3f"),
@@ -275,6 +302,15 @@ int runQosSweep() {
       "the delivery guarantee, it does not bypass it per class.  That the\n"
       "net p99 matches the end-to-end p99 localizes the tail: the wait is\n"
       "in-flight recovery, not backlog at the source NI.\n");
+
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (!out) {
+    std::printf("!! cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(out, "[\n%s]\n", reportJson.c_str());
+  std::fclose(out);
+  std::printf("\nRunReport JSON written to %s\n", path.c_str());
   return exitCode;
 }
 
@@ -288,7 +324,7 @@ std::string instrumentedReport(double intensity, double load, bool reliable,
   noc::FlowTracer* tracer = nullptr;
   if (traceJson) {
     noc::TraceConfig traceConfig;
-    traceConfig.sampleEvery = gTraceSample;
+    traceConfig.sampleEvery = gFlags.traceSample;
     tracer = &net.enableTracing(traceConfig);
   }
   noc::Watchdog watchdog("dog", net.ledger(), 500,
@@ -309,7 +345,7 @@ std::string instrumentedReport(double intensity, double load, bool reliable,
       net, &watchdog);
   report.set("run", "fault_intensity", intensity);
   report.set("run", "offered_load", load);
-  report.set("run", "kernel", bench::kernelName(gKernel));
+  report.set("run", "kernel", bench::kernelName(gFlags.kernel));
   report.set("run", "seed", std::uint64_t{99});
   return report.toJson();
 }
@@ -322,63 +358,36 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     const char* value = nullptr;
     if ((value = bench::flagValue(arg, "--topology="))) {
-      gTopology = value;
+      gFlags.topology = value;
     } else if ((value = bench::flagValue(arg, "--kernel="))) {
-      if (!bench::parseKernelFlag(arg, value, gKernel)) return 1;
+      if (!bench::parseKernelFlag(arg, value, gFlags.kernel)) return 1;
     } else if ((value = bench::flagValue(arg, "--vcs="))) {
-      if (!bench::parseNumberFlag(arg, value, gVcs)) return 1;
+      if (!bench::parseNumberFlag(arg, value, gFlags.vcs)) return 1;
     } else if (std::strcmp(arg, "--quick") == 0) {
       gQuick = true;
     } else if (std::strcmp(arg, "--qos") == 0) {
-      gQos = true;
+      gFlags.qos = true;
     } else if ((value = bench::flagValue(arg, "--trace-sample="))) {
-      if (!bench::parseNumberFlag(arg, value, gTraceSample)) return 1;
+      if (!bench::parseNumberFlag(arg, value, gFlags.traceSample)) return 1;
     } else if ((value = bench::flagValue(arg, "--trace="))) {
-      gTracePath = value;
+      gFlags.tracePath = value;
     } else if (bench::unknownOption(arg)) {
       return 1;
     } else {
       path = arg;
     }
   }
-  if (gTraceSample < 1) {
-    std::printf("--trace-sample=%llu must be >= 1\n",
-                static_cast<unsigned long long>(gTraceSample));
-    return 1;
-  }
-  if (gTopology != "mesh" && gTopology != "torus" && gTopology != "ring") {
-    std::printf("unknown --topology=%s (mesh|torus|ring)\n",
-                gTopology.c_str());
-    return 1;
-  }
-  if (gVcs != 1 && gVcs != 2 && gVcs != 4) {
-    std::printf("--vcs=%d must be 1, 2 or 4\n", gVcs);
-    return 1;
-  }
-  if (gVcs > 1 && !gTracePath.empty()) {
-    std::printf("--trace is incompatible with --vcs>1 (flit tracing does "
-                "not support virtual channels)\n");
-    return 1;
-  }
-  if (gQos) {
-    if (gVcs != 1 && gVcs != 4) {
-      std::printf("--qos needs 4 VCs (escape layer + per-class adaptive "
-                  "lanes); drop --vcs or pass --vcs=4\n");
-      return 1;
-    }
-    if (!gTracePath.empty()) {
-      std::printf("--trace is incompatible with --qos (QoS runs at 4 "
-                  "VCs)\n");
-      return 1;
-    }
-    return runQosSweep();
-  }
+  if (!bench::validSweepFlags(gFlags)) return 1;
+  if (gFlags.qos)
+    return runQosSweep(path == "bench_noc_faultsweep_report.json"
+                           ? "bench_noc_faultsweep_qos_report.json"
+                           : path);
 
   std::printf(
       "RASoC %s fault sweep (16 nodes, n=16, 8-flit packets, %d measured "
       "cycles + drain, %s kernel)\n\n",
       makeBenchTopology()->describe().c_str(), measureCycles(),
-      bench::kernelName(gKernel));
+      bench::kernelName(gFlags.kernel));
 
   int exitCode = 0;
 
@@ -463,11 +472,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fputs("[\n", out);
+  const bool tracing = !gFlags.tracePath.empty();
   std::string traceJson;
   std::string kernelJson;
   std::fputs(instrumentedReport(midRate, midLoad, true,
-                                gTracePath.empty() ? nullptr : &traceJson,
-                                gTracePath.empty() ? nullptr : &kernelJson)
+                                tracing ? &traceJson : nullptr,
+                                tracing ? &kernelJson : nullptr)
                  .c_str(),
              out);
   std::fputs(",\n", out);
@@ -476,41 +486,7 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("\nRunReport JSON written to %s\n", path.c_str());
 
-  if (!gTracePath.empty()) {
-    std::string error;
-    if (!telemetry::validatePerfettoJson(traceJson, &error)) {
-      std::printf("!! Perfetto trace failed schema validation: %s\n",
-                  error.c_str());
-      return 1;
-    }
-    std::FILE* traceOut = std::fopen(gTracePath.c_str(), "w");
-    if (!traceOut) {
-      std::printf("!! cannot write %s\n", gTracePath.c_str());
-      return 1;
-    }
-    std::fputs(traceJson.c_str(), traceOut);
-    std::fclose(traceOut);
-    std::printf("Perfetto trace written to %s (%zu bytes, sample=%llu)\n",
-                gTracePath.c_str(), traceJson.size(),
-                static_cast<unsigned long long>(gTraceSample));
-
-    // Kernel-profile counters are kernel-dependent, so they ship as a
-    // sidecar and the machine trace stays byte-identical across kernels.
-    const std::string kernelPath = gTracePath + ".kernel.json";
-    if (!telemetry::validatePerfettoJson(kernelJson, &error)) {
-      std::printf("!! kernel-profile sidecar failed schema validation: %s\n",
-                  error.c_str());
-      return 1;
-    }
-    std::FILE* kernelOut = std::fopen(kernelPath.c_str(), "w");
-    if (!kernelOut) {
-      std::printf("!! cannot write %s\n", kernelPath.c_str());
-      return 1;
-    }
-    std::fputs(kernelJson.c_str(), kernelOut);
-    std::fclose(kernelOut);
-    std::printf("Kernel-profile sidecar written to %s (%zu bytes)\n",
-                kernelPath.c_str(), kernelJson.size());
-  }
+  if (tracing && !bench::writeTrace(gFlags, traceJson, kernelJson))
+    return 1;
   return exitCode;
 }

@@ -52,27 +52,22 @@ namespace {
 constexpr int kWarmup = 800;
 constexpr int kMeasure = 3000;
 
-std::string gTopology = "mesh";
-sim::Simulator::Kernel gKernel = noc::NetworkConfig{}.kernel;
-int gVcs = 1;
-bool gQos = false;
-std::string gTracePath;  // empty = flit tracing off
-std::uint64_t gTraceSample = 1;
+bench::SweepFlags gFlags;
 
 std::shared_ptr<const noc::Topology> makeBenchTopology() {
   // 4x4 grid for mesh/torus, the same 16 nodes as a ring.
-  return noc::makeTopology(gTopology, 4, 4);
+  return noc::makeTopology(gFlags.topology, 4, 4);
 }
 
 noc::NetworkConfig benchConfig(int p, int vcs = 0) {
   noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = p;
-  cfg.params.numVCs = vcs > 0 ? vcs : gVcs;
-  cfg.params.qosClasses = gQos;
+  cfg.params.numVCs = vcs > 0 ? vcs : gFlags.vcs;
+  cfg.params.qosClasses = gFlags.qos;
   // A 16-node ring routes offsets up to 14; the grids stay within 3.
-  if (gTopology == "ring") cfg.params.m = 10;
-  cfg.kernel = gKernel;
+  if (gFlags.topology == "ring") cfg.params.m = 10;
+  cfg.kernel = gFlags.kernel;
   return cfg;
 }
 
@@ -83,13 +78,13 @@ noc::TrafficConfig benchTraffic(noc::TrafficPattern pattern, double load) {
   traffic.payloadFlits = 6;
   traffic.seed = 99;
   traffic.hotspot =
-      gTopology == "ring" ? noc::NodeId{5, 0} : noc::NodeId{1, 1};
+      gFlags.topology == "ring" ? noc::NodeId{5, 0} : noc::NodeId{1, 1};
   traffic.hotspotFraction = 0.3;
   return traffic;
 }
 
 std::vector<noc::TrafficPattern> benchPatterns() {
-  if (gTopology == "ring")
+  if (gFlags.topology == "ring")
     return {noc::TrafficPattern::UniformRandom,
             noc::TrafficPattern::BitComplement,
             noc::TrafficPattern::HotSpot};
@@ -133,7 +128,7 @@ std::string instrumentedReport(noc::TrafficPattern pattern, double load,
   noc::FlowTracer* tracer = nullptr;
   if (traceJson) {
     noc::TraceConfig traceConfig;
-    traceConfig.sampleEvery = gTraceSample;
+    traceConfig.sampleEvery = gFlags.traceSample;
     tracer = &net.enableTracing(traceConfig);
   }
   noc::Watchdog watchdog("dog", net.ledger(), 500,
@@ -152,7 +147,7 @@ std::string instrumentedReport(noc::TrafficPattern pattern, double load,
       &watchdog);
   report.set("run", "offered_load", load);
   report.set("run", "seed", std::uint64_t{99});
-  report.set("run", "kernel", bench::kernelName(gKernel));
+  report.set("run", "kernel", bench::kernelName(gFlags.kernel));
   return report.toJson();
 }
 
@@ -221,7 +216,7 @@ std::string qosInstrumentedReport(const std::vector<noc::FlowSpec>& flows,
   report.set("run", "control_load", 0.02);
   report.set("run", "bulk_load", bulkLoad);
   report.set("run", "seed", std::uint64_t{99});
-  report.set("run", "kernel", bench::kernelName(gKernel));
+  report.set("run", "kernel", bench::kernelName(gFlags.kernel));
   return report.toJson();
 }
 
@@ -230,7 +225,7 @@ int runQosSweep(const std::string& path) {
       "RASoC %s QoS isolation sweep (16 nodes, n=16, 4 VCs, qosClasses, "
       "%d measured cycles, %s kernel)\n\n",
       makeBenchTopology()->describe().c_str(), kMeasure,
-      bench::kernelName(gKernel));
+      bench::kernelName(gFlags.kernel));
 
   // Unloaded baseline: the Control probe alone on an idle network.
   const QosPoint base = runQos({qosControlFlow()});
@@ -322,54 +317,26 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     const char* value = nullptr;
     if ((value = bench::flagValue(arg, "--topology="))) {
-      gTopology = value;
+      gFlags.topology = value;
     } else if ((value = bench::flagValue(arg, "--kernel="))) {
-      if (!bench::parseKernelFlag(arg, value, gKernel)) return 1;
+      if (!bench::parseKernelFlag(arg, value, gFlags.kernel)) return 1;
     } else if ((value = bench::flagValue(arg, "--vcs="))) {
-      if (!bench::parseNumberFlag(arg, value, gVcs)) return 1;
+      if (!bench::parseNumberFlag(arg, value, gFlags.vcs)) return 1;
     } else if (std::strcmp(arg, "--qos") == 0) {
-      gQos = true;
+      gFlags.qos = true;
     } else if ((value = bench::flagValue(arg, "--trace-sample="))) {
-      if (!bench::parseNumberFlag(arg, value, gTraceSample)) return 1;
+      if (!bench::parseNumberFlag(arg, value, gFlags.traceSample)) return 1;
     } else if ((value = bench::flagValue(arg, "--trace="))) {
-      gTracePath = value;
+      gFlags.tracePath = value;
     } else if (bench::unknownOption(arg)) {
       return 1;
     } else {
       path = arg;
     }
   }
-  if (gTraceSample < 1) {
-    std::printf("--trace-sample=%llu must be >= 1\n",
-                static_cast<unsigned long long>(gTraceSample));
-    return 1;
-  }
-  if (gTopology != "mesh" && gTopology != "torus" && gTopology != "ring") {
-    std::printf("unknown --topology=%s (mesh|torus|ring)\n",
-                gTopology.c_str());
-    return 1;
-  }
-  if (gVcs != 1 && gVcs != 2 && gVcs != 4) {
-    std::printf("--vcs=%d must be 1, 2 or 4\n", gVcs);
-    return 1;
-  }
-  if (gVcs > 1 && !gTracePath.empty()) {
-    std::printf("--trace is incompatible with --vcs>1 (flit tracing does "
-                "not support virtual channels)\n");
-    return 1;
-  }
-  if (gQos) {
-    if (gVcs != 1 && gVcs != 4) {
-      std::printf("--qos needs 4 VCs (escape layer + per-class adaptive "
-                  "lanes); drop --vcs or pass --vcs=4\n");
-      return 1;
-    }
-    if (!gTracePath.empty()) {
-      std::printf("--trace is incompatible with --qos (QoS runs at 4 "
-                  "VCs)\n");
-      return 1;
-    }
-    gVcs = 4;
+  if (!bench::validSweepFlags(gFlags)) return 1;
+  if (gFlags.qos) {
+    gFlags.vcs = 4;
     return runQosSweep(path == "bench_noc_loadsweep_report.json"
                            ? "bench_noc_qos_report.json"
                            : path);
@@ -379,7 +346,7 @@ int main(int argc, char** argv) {
       "RASoC %s load sweep (16 nodes, n=16, 8-flit packets, %d measured "
       "cycles, %s kernel)\n\n",
       makeBenchTopology()->describe().c_str(), kMeasure,
-      bench::kernelName(gKernel));
+      bench::kernelName(gFlags.kernel));
 
   for (noc::TrafficPattern pattern : benchPatterns()) {
     std::printf("--- pattern: %s ---\n",
@@ -444,7 +411,7 @@ int main(int argc, char** argv) {
     // The hotspot run is the interesting one to trace: its congestion tree
     // shows up as hop_blocked time on the flow tracks.
     const bool traceThis =
-        !gTracePath.empty() && pattern == noc::TrafficPattern::HotSpot;
+        !gFlags.tracePath.empty() && pattern == noc::TrafficPattern::HotSpot;
     std::fputs(instrumentedReport(pattern, 0.20,
                                   traceThis ? &traceJson : nullptr,
                                   traceThis ? &kernelJson : nullptr)
@@ -456,42 +423,8 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("\nRunReport JSON written to %s\n", path.c_str());
 
-  if (!gTracePath.empty()) {
-    std::string error;
-    if (!telemetry::validatePerfettoJson(traceJson, &error)) {
-      std::printf("!! Perfetto trace failed schema validation: %s\n",
-                  error.c_str());
-      return 1;
-    }
-    std::FILE* traceOut = std::fopen(gTracePath.c_str(), "w");
-    if (!traceOut) {
-      std::printf("!! cannot write %s\n", gTracePath.c_str());
-      return 1;
-    }
-    std::fputs(traceJson.c_str(), traceOut);
-    std::fclose(traceOut);
-    std::printf("Perfetto trace written to %s (%zu bytes, sample=%llu)\n",
-                gTracePath.c_str(), traceJson.size(),
-                static_cast<unsigned long long>(gTraceSample));
-
-    // Kernel-profile counters go in a sidecar: they are a property of the
-    // settle kernel, so keeping them out of the machine trace preserves
-    // its byte-identity across --kernel choices.
-    const std::string kernelPath = gTracePath + ".kernel.json";
-    if (!telemetry::validatePerfettoJson(kernelJson, &error)) {
-      std::printf("!! kernel-profile sidecar failed schema validation: %s\n",
-                  error.c_str());
-      return 1;
-    }
-    std::FILE* kernelOut = std::fopen(kernelPath.c_str(), "w");
-    if (!kernelOut) {
-      std::printf("!! cannot write %s\n", kernelPath.c_str());
-      return 1;
-    }
-    std::fputs(kernelJson.c_str(), kernelOut);
-    std::fclose(kernelOut);
-    std::printf("Kernel-profile sidecar written to %s (%zu bytes)\n",
-                kernelPath.c_str(), kernelJson.size());
-  }
+  if (!gFlags.tracePath.empty() &&
+      !bench::writeTrace(gFlags, traceJson, kernelJson))
+    return 1;
   return 0;
 }

@@ -1,17 +1,26 @@
 // Strict command-line flags shared by the sweep benches
-// (bench_noc_loadsweep, bench_noc_faultsweep).  A numeric flag must be a
+// (bench_noc_loadsweep, bench_noc_faultsweep); the examples parse their
+// positional numbers with parseNumberFlag too.  A numeric flag must be a
 // whole decimal number in range ("--vcs=4x" is an error, not 4), a kernel
 // must be one of naive|event|compiled, and an unrecognised "--" option is
 // an error rather than the report path.  Each helper prints its own
 // message; the caller exits nonzero.
+//
+// Each bench keeps its own flag loop (only the fault sweep has --quick)
+// and fills a SweepFlags; validSweepFlags() then runs the checks that need
+// every flag parsed, and writeTrace() writes the --trace artifacts.
 #pragma once
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <system_error>
 
+#include "noc/network.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/trace_event.hpp"
 
 namespace rasoc::bench {
 
@@ -70,6 +79,93 @@ inline bool parseKernelFlag(const char* arg, const char* value,
 inline bool unknownOption(const char* arg) {
   if (std::strncmp(arg, "--", 2) != 0) return false;
   std::printf("unknown option %s\n", arg);
+  return true;
+}
+
+// The flags both sweep benches take.
+struct SweepFlags {
+  std::string topology = "mesh";
+  sim::Simulator::Kernel kernel = noc::NetworkConfig{}.kernel;
+  int vcs = 1;
+  bool qos = false;
+  std::string tracePath;  // empty = flit tracing off
+  std::uint64_t traceSample = 1;
+};
+
+// The checks that need every flag parsed.  Prints the first failure and
+// returns false.
+inline bool validSweepFlags(const SweepFlags& flags) {
+  if (flags.traceSample < 1) {
+    std::printf("--trace-sample=%llu must be >= 1\n",
+                static_cast<unsigned long long>(flags.traceSample));
+    return false;
+  }
+  if (flags.topology != "mesh" && flags.topology != "torus" &&
+      flags.topology != "ring") {
+    std::printf("unknown --topology=%s (mesh|torus|ring)\n",
+                flags.topology.c_str());
+    return false;
+  }
+  if (flags.vcs != 1 && flags.vcs != 2 && flags.vcs != 4) {
+    std::printf("--vcs=%d must be 1, 2 or 4\n", flags.vcs);
+    return false;
+  }
+  if (flags.vcs > 1 && !flags.tracePath.empty()) {
+    std::printf("--trace is incompatible with --vcs>1 (flit tracing does "
+                "not support virtual channels)\n");
+    return false;
+  }
+  if (flags.qos) {
+    if (flags.vcs != 1 && flags.vcs != 4) {
+      std::printf("--qos needs 4 VCs (escape layer + per-class adaptive "
+                  "lanes); drop --vcs or pass --vcs=4\n");
+      return false;
+    }
+    if (!flags.tracePath.empty()) {
+      std::printf("--trace is incompatible with --qos (QoS runs at 4 "
+                  "VCs)\n");
+      return false;
+    }
+  }
+  return true;
+}
+
+// Schema-validates `json` as Perfetto trace JSON and writes it to `path`.
+inline bool writeValidatedTrace(const std::string& path,
+                                const std::string& json, const char* what) {
+  std::string error;
+  if (!telemetry::validatePerfettoJson(json, &error)) {
+    std::printf("!! %s failed schema validation: %s\n", what, error.c_str());
+    return false;
+  }
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (!out) {
+    std::printf("!! cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fputs(json.c_str(), out);
+  std::fclose(out);
+  return true;
+}
+
+// Writes the --trace artifacts: the Perfetto flow trace at
+// flags.tracePath and the kernel-profile counters beside it as
+// <path>.kernel.json.  The counters depend on the settle kernel, so they
+// ship as a sidecar and the flow trace stays byte-identical across
+// kernels.
+inline bool writeTrace(const SweepFlags& flags, const std::string& traceJson,
+                       const std::string& kernelJson) {
+  if (!writeValidatedTrace(flags.tracePath, traceJson, "Perfetto trace"))
+    return false;
+  std::printf("Perfetto trace written to %s (%zu bytes, sample=%llu)\n",
+              flags.tracePath.c_str(), traceJson.size(),
+              static_cast<unsigned long long>(flags.traceSample));
+  const std::string kernelPath = flags.tracePath + ".kernel.json";
+  if (!writeValidatedTrace(kernelPath, kernelJson,
+                           "kernel-profile sidecar"))
+    return false;
+  std::printf("Kernel-profile sidecar written to %s (%zu bytes)\n",
+              kernelPath.c_str(), kernelJson.size());
   return true;
 }
 

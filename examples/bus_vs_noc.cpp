@@ -6,8 +6,8 @@
 //
 //   $ ./bus_vs_noc [nodes_per_side]   (default 4)
 #include <cstdio>
-#include <cstdlib>
 
+#include "../bench/sweep_flags.hpp"
 #include "baseline/bus.hpp"
 #include "noc/network.hpp"
 #include "sim/simulator.hpp"
@@ -15,7 +15,8 @@
 using namespace rasoc;
 
 int main(int argc, char** argv) {
-  const int side = argc > 1 ? std::atoi(argv[1]) : 4;
+  int side = 4;
+  if (argc > 1 && !bench::parseNumberFlag(argv[1], argv[1], side)) return 1;
   const noc::MeshShape shape{side, side};
   constexpr int kWarmup = 500;
   constexpr int kMeasure = 4000;

@@ -7,11 +7,11 @@
 // instance baked to the chosen generics, and prints the elaborated cost
 // summary the synthesis tables are built from.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "../bench/sweep_flags.hpp"
 #include "softcore/elaborate.hpp"
 #include "softcore/vhdl_writer.hpp"
 #include "tech/mapper.hpp"
@@ -21,9 +21,13 @@ using namespace rasoc;
 
 int main(int argc, char** argv) {
   router::RouterParams params;
-  params.n = argc > 1 ? std::atoi(argv[1]) : 16;
-  params.m = argc > 2 ? std::atoi(argv[2]) : 8;
-  params.p = argc > 3 ? std::atoi(argv[3]) : 4;
+  params.n = 16;
+  params.m = 8;
+  params.p = 4;
+  if ((argc > 1 && !bench::parseNumberFlag(argv[1], argv[1], params.n)) ||
+      (argc > 2 && !bench::parseNumberFlag(argv[2], argv[2], params.m)) ||
+      (argc > 3 && !bench::parseNumberFlag(argv[3], argv[3], params.p)))
+    return 1;
   params.fifoImpl = (argc > 4 && std::strcmp(argv[4], "ff") == 0)
                         ? router::FifoImpl::FlipFlop
                         : router::FifoImpl::Eab;

@@ -4,14 +4,15 @@
 //
 //   $ ./mesh_traffic [load]            (default 0.15 flits/cycle/node)
 #include <cstdio>
-#include <cstdlib>
 
+#include "../bench/sweep_flags.hpp"
 #include "noc/network.hpp"
 
 using namespace rasoc;
 
 int main(int argc, char** argv) {
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.15;
+  double load = 0.15;
+  if (argc > 1 && !bench::parseNumberFlag(argv[1], argv[1], load)) return 1;
   constexpr int kWarmup = 500;
   constexpr int kMeasure = 4000;
 

@@ -13,9 +13,10 @@
 // diff a.txt b.txt`).
 //
 // Usage: noc_observe [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "../bench/sweep_flags.hpp"
 #include "noc/network.hpp"
 #include "noc/observe.hpp"
 #include "noc/watchdog.hpp"
@@ -23,8 +24,8 @@
 using namespace rasoc;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  std::uint64_t seed = 7;
+  if (argc > 1 && !bench::parseNumberFlag(argv[1], argv[1], seed)) return 1;
 
   const noc::MeshShape shape{3, 3};
   noc::NetworkConfig cfg;

@@ -356,13 +356,11 @@ void FlowTracer::onTick() {
 void FlowTracer::completePacket(std::uint64_t id, const PacketMeta& m,
                                 std::uint64_t ejectCycle) {
   const PacketMeta done = m;  // metas_.erase below invalidates the reference
-  decomp_.endToEnd.record(static_cast<double>(ejectCycle - done.queuedCycle));
-  decomp_.sourceQueue.record(
-      static_cast<double>(done.headerInjectCycle - done.queuedCycle));
-  decomp_.hopMin.record(static_cast<double>(done.hops));
-  decomp_.hopBlocked.record(static_cast<double>(done.hopBlocked));
-  decomp_.drain.record(
-      static_cast<double>(ejectCycle - done.headerEjectCycle));
+  decomp_.endToEnd.observe(ejectCycle - done.queuedCycle);
+  decomp_.sourceQueue.observe(done.headerInjectCycle - done.queuedCycle);
+  decomp_.hopMin.observe(done.hops);
+  decomp_.hopBlocked.observe(done.hopBlocked);
+  decomp_.drain.observe(ejectCycle - done.headerEjectCycle);
   ++packetsCompleted_;
   if (spans_.size() < config_.maxFlowSpans) {
     FlowSpan span;
@@ -538,9 +536,8 @@ std::string FlowTracer::kernelProfileJson() const {
 namespace {
 
 void statRow(telemetry::RunReport& report, const std::string& key,
-             const LatencyStats& stats) {
-  report.set("trace", key + "_count",
-             static_cast<std::uint64_t>(stats.count()));
+             const telemetry::Histogram& stats) {
+  report.set("trace", key + "_count", stats.count());
   if (stats.count() == 0) return;
   report.set("trace", key + "_mean", stats.mean());
   report.set("trace", key + "_p50", stats.percentile(0.50));
@@ -581,7 +578,8 @@ void FlowTracer::writeReport(telemetry::RunReport& report) const {
 std::string FlowTracer::decompositionTable() const {
   std::ostringstream os;
   os << "component     count      mean       p50       p95       p99\n";
-  const auto row = [&os](const char* label, const LatencyStats& stats) {
+  const auto row = [&os](const char* label,
+                         const telemetry::Histogram& stats) {
     os << label;
     for (std::size_t i = std::string(label).size(); i < 14; ++i) os << ' ';
     if (stats.count() == 0) {

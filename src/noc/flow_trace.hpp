@@ -45,10 +45,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/trace_event.hpp"
 
-#include "noc/stats.hpp"
 #include "noc/topology.hpp"
 #include "router/params.hpp"
 
@@ -104,11 +104,11 @@ class FlowTracer {
   /// spent waiting in input buffers, and drain is the tail serialization
   /// after the header reached the destination NI.
   struct Decomposition {
-    LatencyStats endToEnd;
-    LatencyStats sourceQueue;
-    LatencyStats hopMin;
-    LatencyStats hopBlocked;
-    LatencyStats drain;
+    telemetry::Histogram endToEnd;
+    telemetry::Histogram sourceQueue;
+    telemetry::Histogram hopMin;
+    telemetry::Histogram hopBlocked;
+    telemetry::Histogram drain;
   };
 
   /// One completed traced packet (Perfetto flow-track span).

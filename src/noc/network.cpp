@@ -191,9 +191,7 @@ void Network::enableTelemetry(telemetry::MetricsRegistry& registry) {
     nm.flitsInjected = &registry.counter(prefix + "flits_injected");
     nm.flitsEjected = &registry.counter(prefix + "flits_ejected");
     nm.backpressureCycles = &registry.counter(prefix + "backpressure_cycles");
-    nm.sendQueueFlits =
-        &registry.histogram(prefix + "send_queue_flits",
-                            telemetry::Histogram::linearBounds(16));
+    nm.sendQueueFlits = &registry.histogram(prefix + "send_queue_flits");
     if (config_.reliability.enabled) {
       nm.retransmits = &registry.counter(prefix + "retransmits");
       nm.timeouts = &registry.counter(prefix + "timeouts");
@@ -342,6 +340,7 @@ std::vector<std::string> Network::blockedLinkTraceDump(
 
 void Network::reset() {
   sim_.reset();
+  ledger_.discardOpen();
   if (tracer_) tracer_->clear();
 }
 

@@ -134,6 +134,9 @@ class Network {
     return faultyLinks_;
   }
 
+  /// Resets the simulated hardware.  The ledger keeps its delivered totals
+  /// and latency histograms but forgets the packets still open, whose
+  /// queues and flits the reset wiped.
   void reset();
   void run(std::uint64_t cycles);
 

@@ -366,7 +366,7 @@ void NetworkInterface::clockEdge() {
     if (metrics_.backpressureCycles && sendQueueFlits_ > 0 && !sent)
       metrics_.backpressureCycles->inc();
     if (metrics_.sendQueueFlits)
-      metrics_.sendQueueFlits->observe(static_cast<double>(sendQueueFlits_));
+      metrics_.sendQueueFlits->observe(sendQueueFlits_);
   }
 
   // --- receive side ------------------------------------------------------

@@ -166,9 +166,8 @@ telemetry::RunReport buildRunReport(std::string name, const Network& network,
   report.set("ledger", "delivered", ledger.delivered());
   report.set("ledger", "in_flight", ledger.inFlight());
   report.set("ledger", "flits_delivered", ledger.flitsDelivered());
-  const LatencyStats& packet = ledger.packetLatency();
-  report.set("ledger", "packet_latency_samples",
-             static_cast<std::uint64_t>(packet.count()));
+  const telemetry::Histogram& packet = ledger.packetLatency();
+  report.set("ledger", "packet_latency_samples", packet.count());
   report.set("ledger", "packet_latency_mean", packet.mean());
   report.set("ledger", "packet_latency_min", packet.min());
   report.set("ledger", "packet_latency_max", packet.max());
@@ -176,7 +175,7 @@ telemetry::RunReport buildRunReport(std::string name, const Network& network,
     report.set("ledger", "packet_latency_p50", packet.percentile(0.5));
     report.set("ledger", "packet_latency_p99", packet.percentile(0.99));
   }
-  const LatencyStats& networkLatency = ledger.networkLatency();
+  const telemetry::Histogram& networkLatency = ledger.networkLatency();
   report.set("ledger", "network_latency_mean", networkLatency.mean());
   if (networkLatency.count() > 0)
     report.set("ledger", "network_latency_p99",
@@ -190,14 +189,14 @@ telemetry::RunReport buildRunReport(std::string name, const Network& network,
       const std::string key(router::name(cls));
       report.set("qos", key + "_queued", ledger.queued(cls));
       report.set("qos", key + "_delivered", ledger.delivered(cls));
-      const LatencyStats& lat = ledger.packetLatency(cls);
+      const telemetry::Histogram& lat = ledger.packetLatency(cls);
       if (lat.count() > 0) {
         report.set("qos", key + "_latency_mean", lat.mean());
         report.set("qos", key + "_latency_p50", lat.percentile(0.5));
         report.set("qos", key + "_latency_p99", lat.percentile(0.99));
         report.set("qos", key + "_latency_max", lat.max());
       }
-      const LatencyStats& net = ledger.networkLatency(cls);
+      const telemetry::Histogram& net = ledger.networkLatency(cls);
       if (net.count() > 0)
         report.set("qos", key + "_network_latency_p99",
                    net.percentile(0.99));

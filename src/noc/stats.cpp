@@ -1,85 +1,8 @@
 #include "noc/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 namespace rasoc::noc {
-
-void LatencyStats::record(double sample) { samples_.push_back(sample); }
-
-double LatencyStats::mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
-}
-
-double LatencyStats::min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double LatencyStats::max() const {
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double LatencyStats::percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile q in [0,1]");
-  if (sortedCount_ < samples_.size()) {
-    const auto mergedEnd =
-        static_cast<std::vector<double>::difference_type>(sorted_.size());
-    sorted_.insert(sorted_.end(),
-                   samples_.begin() +
-                       static_cast<std::vector<double>::difference_type>(
-                           sortedCount_),
-                   samples_.end());
-    std::sort(sorted_.begin() + mergedEnd, sorted_.end());
-    std::inplace_merge(sorted_.begin(), sorted_.begin() + mergedEnd,
-                       sorted_.end());
-    sortedCount_ = samples_.size();
-  }
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted_.size())));
-  return sorted_[rank == 0 ? 0 : rank - 1];
-}
-
-std::string LatencyStats::histogram(int bins, int barWidth) const {
-  if (bins < 1 || barWidth < 1)
-    throw std::invalid_argument("histogram needs >= 1 bin and bar width");
-  std::ostringstream out;
-  if (samples_.empty()) {
-    out << "(no samples)\n";
-    return out.str();
-  }
-  const double lo = min();
-  const double hi = max();
-  const double width = hi > lo ? (hi - lo) / bins : 1.0;
-  std::vector<std::size_t> counts(static_cast<std::size_t>(bins), 0);
-  for (double s : samples_) {
-    auto bin = static_cast<std::size_t>((s - lo) / width);
-    if (bin >= counts.size()) bin = counts.size() - 1;
-    ++counts[bin];
-  }
-  const std::size_t peak = *std::max_element(counts.begin(), counts.end());
-  for (int b = 0; b < bins; ++b) {
-    const double binLo = lo + b * width;
-    const double binHi = binLo + width;
-    const std::size_t count = counts[static_cast<std::size_t>(b)];
-    const auto bar = static_cast<std::size_t>(
-        peak == 0 ? 0
-                  : (count * static_cast<std::size_t>(barWidth)) / peak);
-    char label[64];
-    std::snprintf(label, sizeof label, "[%8.1f, %8.1f) %8zu ", binLo, binHi,
-                  count);
-    out << label << std::string(bar, '#') << '\n';
-  }
-  return out.str();
-}
 
 void DeliveryLedger::onQueued(PacketRecord record) {
   const FlowKey key = flowKey(record.src, record.dst, record.trafficClass);
@@ -122,14 +45,14 @@ PacketRecord DeliveryLedger::onDelivered(NodeId src, NodeId dst,
   if (record.trafficClass >= 0)
     ++classDelivered_[static_cast<std::size_t>(record.trafficClass)];
   if (record.createdCycle >= warmup_) {
-    const auto packetLat = static_cast<double>(cycle - record.createdCycle);
-    const auto networkLat = static_cast<double>(cycle - record.injectedCycle);
-    packetLatency_.record(packetLat);
-    networkLatency_.record(networkLat);
+    const std::uint64_t packetLat = cycle - record.createdCycle;
+    const std::uint64_t networkLat = cycle - record.injectedCycle;
+    packetLatency_.observe(packetLat);
+    networkLatency_.observe(networkLat);
     if (record.trafficClass >= 0) {
       const auto cls = static_cast<std::size_t>(record.trafficClass);
-      classPacketLatency_[cls].record(packetLat);
-      classNetworkLatency_[cls].record(networkLat);
+      classPacketLatency_[cls].observe(packetLat);
+      classNetworkLatency_[cls].observe(networkLat);
     }
     flitsDeliveredAfterWarmup_ += static_cast<std::uint64_t>(record.flits);
   }
@@ -145,6 +68,16 @@ bool DeliveryLedger::tryDeliver(NodeId src, NodeId dst, std::uint64_t cycle,
     return false;
   onDelivered(src, dst, cycle, trafficClass);
   return true;
+}
+
+void DeliveryLedger::discardOpen() {
+  for (const auto& [key, flow] : flows_) {
+    queuedCount_ -= flow.size();
+    for (const PacketRecord& record : flow)
+      if (record.trafficClass >= 0)
+        --classQueued_[static_cast<std::size_t>(record.trafficClass)];
+  }
+  flows_.clear();
 }
 
 double DeliveryLedger::throughputFlitsPerCyclePerNode(std::uint64_t cycles,

@@ -1,5 +1,5 @@
-// Measurement support: latency distributions and the delivery ledger that
-// matches injected packets to delivered ones.
+// Measurement support: the delivery ledger that matches injected packets
+// to delivered ones and keeps their latency histograms.
 //
 // Packets carry only n-bit payload words, so the simulator keeps timestamps
 // out of band: each source NI registers a packet with the ledger when it is
@@ -13,42 +13,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 #include <tuple>
-#include <vector>
 
 #include "noc/topology.hpp"
 #include "router/params.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace rasoc::noc {
-
-class LatencyStats {
- public:
-  void record(double sample);
-
-  std::size_t count() const { return samples_.size(); }
-  double mean() const;
-  double min() const;
-  double max() const;
-  // q in [0,1]; nearest-rank on the sorted samples.
-  double percentile(double q) const;
-
-  const std::vector<double>& samples() const { return samples_; }
-
-  // Text histogram: `bins` equal-width buckets between min and max, one
-  // line each, bar lengths normalized to `barWidth` characters.
-  std::string histogram(int bins = 10, int barWidth = 40) const;
-
- private:
-  // Sorted view maintained incrementally: only samples recorded since the
-  // last percentile() call are sorted and merged in, so interleaving
-  // record() and percentile() costs O(new log new + n) per query instead of
-  // re-sorting the whole vector.
-  mutable std::vector<double> sorted_;
-  mutable std::size_t sortedCount_ = 0;  // samples_ prefix already merged
-
-  std::vector<double> samples_;
-};
 
 struct PacketRecord {
   NodeId src;
@@ -82,21 +53,28 @@ class DeliveryLedger {
   bool tryDeliver(NodeId src, NodeId dst, std::uint64_t cycle,
                   int trafficClass = -1);
 
+  // Forgets every open packet (queued or in flight): a reset wiped the
+  // queues and wires that carried them, so none will be delivered.  They
+  // leave the queued counts, so inFlight() reads 0 afterwards; without
+  // this, packets queued after the reset would close the stale records
+  // and their latencies would wrap around.
+  void discardOpen();
+
   std::uint64_t queued() const { return queuedCount_; }
   std::uint64_t delivered() const { return deliveredCount_; }
   std::uint64_t flitsDelivered() const { return flitsDelivered_; }
   std::uint64_t inFlight() const { return queuedCount_ - deliveredCount_; }
 
   // End-to-end: creation to trailer delivery (includes source queueing).
-  const LatencyStats& packetLatency() const { return packetLatency_; }
+  const telemetry::Histogram& packetLatency() const { return packetLatency_; }
   // Network-only: header injection to trailer delivery.
-  const LatencyStats& networkLatency() const { return networkLatency_; }
+  const telemetry::Histogram& networkLatency() const { return networkLatency_; }
 
   // Per-class views (QoS networks; empty/zero for classes never tagged).
-  const LatencyStats& packetLatency(router::TrafficClass cls) const {
+  const telemetry::Histogram& packetLatency(router::TrafficClass cls) const {
     return classPacketLatency_[static_cast<std::size_t>(cls)];
   }
-  const LatencyStats& networkLatency(router::TrafficClass cls) const {
+  const telemetry::Histogram& networkLatency(router::TrafficClass cls) const {
     return classNetworkLatency_[static_cast<std::size_t>(cls)];
   }
   std::uint64_t delivered(router::TrafficClass cls) const {
@@ -119,10 +97,12 @@ class DeliveryLedger {
     return {src.x, src.y, dst.x, dst.y, trafficClass};
   }
   std::map<FlowKey, std::deque<PacketRecord>> flows_;
-  LatencyStats packetLatency_;
-  LatencyStats networkLatency_;
-  std::array<LatencyStats, router::kNumTrafficClasses> classPacketLatency_;
-  std::array<LatencyStats, router::kNumTrafficClasses> classNetworkLatency_;
+  telemetry::Histogram packetLatency_;
+  telemetry::Histogram networkLatency_;
+  std::array<telemetry::Histogram, router::kNumTrafficClasses>
+      classPacketLatency_;
+  std::array<telemetry::Histogram, router::kNumTrafficClasses>
+      classNetworkLatency_;
   std::array<std::uint64_t, router::kNumTrafficClasses> classDelivered_{};
   std::array<std::uint64_t, router::kNumTrafficClasses> classQueued_{};
   std::uint64_t warmup_ = 0;

@@ -68,7 +68,8 @@ void InputChannel::clockEdge() {
   if (metrics_.stallCycles && rok_.get() && !rd_.get())
     metrics_.stallCycles->inc();
   if (metrics_.occupancy)
-    metrics_.occupancy->observe(static_cast<double>(ib_->occupancy()));
+    metrics_.occupancy->observe(
+        static_cast<std::uint64_t>(ib_->occupancy()));
 }
 
 // --- compiled-kernel lowering ------------------------------------------
@@ -528,7 +529,7 @@ void VcInputChannel::commitEdge(const S& s) {
     anyFull = anyFull || depth >= params_.p;
     anyStall = anyStall || (depth > 0 && !read);
     if (metricsAttached_ && metrics_.occupancy[vi])
-      metrics_.occupancy[vi]->observe(static_cast<double>(depth));
+      metrics_.occupancy[vi]->observe(static_cast<std::uint64_t>(depth));
   }
   if (metricsAttached_) {
     if (metrics_.fullCycles && anyFull) metrics_.fullCycles->inc();

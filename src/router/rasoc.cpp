@@ -110,8 +110,7 @@ void Rasoc::attachMetrics(telemetry::MetricsRegistry& registry,
       im.stallCycles = &registry.counter(in + "stall_cycles");
       for (int v = 0; v < params_.numVCs; ++v)
         im.occupancy[static_cast<std::size_t>(v)] = &registry.histogram(
-            in + "vc" + std::to_string(v) + ".occupancy",
-            telemetry::Histogram::linearBounds(params_.p));
+            in + "vc" + std::to_string(v) + ".occupancy");
       vcInputs_[i]->attachMetrics(im);
 
       VcOutputChannelMetrics om;
@@ -130,8 +129,7 @@ void Rasoc::attachMetrics(telemetry::MetricsRegistry& registry,
     im.flitsAccepted = &registry.counter(in + "flits");
     im.fullCycles = &registry.counter(in + "full_cycles");
     im.stallCycles = &registry.counter(in + "stall_cycles");
-    im.occupancy = &registry.histogram(
-        in + "occupancy", telemetry::Histogram::linearBounds(params_.p));
+    im.occupancy = &registry.histogram(in + "occupancy");
     inputs_[i]->attachMetrics(im);
 
     OutputChannelMetrics om;

@@ -1,8 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -142,29 +140,6 @@ void Simulator::settle() {
 }
 
 void Simulator::settleNaive() {
-  if (std::getenv("RASOC_SETTLE_DEBUG")) {
-    // Convergence forensics: names every module still changing wires late
-    // in the fixpoint sweep.  A module that appears alone over and over has
-    // a non-idempotent evaluate() — typically a wire driven low and then
-    // raised within one pass, which trips the change flag forever.
-    for (int iter = 0; iter < maxSettleIterations_; ++iter) {
-      bool any = false;
-      for (Module* m : modules_) {
-        SettleContext::clearChanged();
-        m->evaluateOne();
-        if (SettleContext::changed()) {
-          any = true;
-          if (iter > 5)
-            std::fprintf(stderr, "settle iter %d: %s changed wires\n", iter,
-                         m->name().c_str());
-        }
-      }
-      if (!any) return;
-    }
-    throw std::runtime_error(
-        "Simulator::settle: no combinational fixpoint (RASOC_SETTLE_DEBUG "
-        "report above)");
-  }
   for (int iter = 0; iter < maxSettleIterations_; ++iter) {
     SettleContext::clearChanged();
     if (profileBase_) {
@@ -181,10 +156,22 @@ void Simulator::settleNaive() {
     evaluateCalls_ += modules_.size();
     if (!SettleContext::changed()) return;
   }
+  // One more pass, module by module, on the throwing path only: a module
+  // whose evaluate() still changes wires is on the loop, or has a
+  // non-idempotent evaluate() (a wire driven low and raised again within
+  // one pass trips the change flag forever).
+  std::string unsettled;
+  for (Module* m : modules_) {
+    SettleContext::clearChanged();
+    m->evaluateOne();
+    if (!SettleContext::changed()) continue;
+    if (!unsettled.empty()) unsettled += ", ";
+    unsettled += m->name();
+  }
   throw std::runtime_error(
       "Simulator::settle: no combinational fixpoint after " +
       std::to_string(maxSettleIterations_) +
-      " passes (combinational loop?)");
+      " passes (combinational loop?); still changing: " + unsettled);
 }
 
 void Simulator::settleEventDriven() {

@@ -127,7 +127,7 @@ void Initiator::clockEdge() {
       if (expected != shadow_.end() && expected->second != response.data)
         ++dataErrors_;
     }
-    roundTrip_.record(static_cast<double>(cycle_ - issued.issuedCycle));
+    roundTrip_.observe(cycle_ - issued.issuedCycle);
     ++completed_;
     outstanding_.erase(it);
   }

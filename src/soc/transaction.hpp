@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "noc/ni.hpp"
-#include "noc/stats.hpp"
 #include "noc/topology.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace rasoc::soc {
 
@@ -99,7 +99,7 @@ class Initiator : public sim::Module {
   bool done() const { return script_.empty() && outstanding_.empty(); }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t dataErrors() const { return dataErrors_; }
-  const noc::LatencyStats& roundTrip() const { return roundTrip_; }
+  const telemetry::Histogram& roundTrip() const { return roundTrip_; }
 
  protected:
   void onReset() override;
@@ -123,7 +123,7 @@ class Initiator : public sim::Module {
   std::uint64_t cycle_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t dataErrors_ = 0;
-  noc::LatencyStats roundTrip_;
+  telemetry::Histogram roundTrip_;
 };
 
 }  // namespace rasoc::soc

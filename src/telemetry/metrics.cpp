@@ -1,38 +1,63 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace rasoc::telemetry {
 
-Histogram::Histogram(std::vector<double> upperBounds)
-    : bounds_(std::move(upperBounds)) {
-  if (bounds_.empty())
-    throw std::invalid_argument("histogram needs at least one bucket bound");
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()))
-    throw std::invalid_argument("histogram bounds must be sorted");
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::observe(double v) {
-  std::size_t bucket = bounds_.size();  // overflow by default
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++counts_[bucket];
+void Histogram::observe(std::uint64_t v) {
+  if (v >= counts_.size()) counts_.resize(v + 1, 0);
+  ++counts_[v];
+  if (count_ == 0 || v < min_) min_ = v;
   ++count_;
   sum_ += v;
 }
 
-std::vector<double> Histogram::linearBounds(int n) {
-  if (n < 1) throw std::invalid_argument("linearBounds needs n >= 1");
-  std::vector<double> bounds;
-  bounds.reserve(static_cast<std::size_t>(n));
-  for (int i = 1; i <= n; ++i) bounds.push_back(static_cast<double>(i));
-  return bounds;
+double Histogram::percentile(double q) const {
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile q in [0,1]");
+  if (count_ == 0) return 0.0;
+  const auto rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(count_)));
+  const std::uint64_t target = rank == 0 ? 1 : rank;
+  std::uint64_t seen = 0;
+  for (std::size_t v = min_; v < counts_.size(); ++v) {
+    seen += counts_[v];
+    if (seen >= target) return static_cast<double>(v);
+  }
+  return max();
+}
+
+std::string Histogram::histogram(int bins, int barWidth) const {
+  if (bins < 1 || barWidth < 1)
+    throw std::invalid_argument("histogram needs >= 1 bin and bar width");
+  if (count_ == 0) return "(no samples)\n";
+  const double lo = min();
+  const double hi = max();
+  const double width = hi > lo ? (hi - lo) / bins : 1.0;
+  std::vector<std::uint64_t> binCounts(static_cast<std::size_t>(bins), 0);
+  for (std::size_t v = min_; v < counts_.size(); ++v) {
+    auto bin = static_cast<std::size_t>((static_cast<double>(v) - lo) / width);
+    if (bin >= binCounts.size()) bin = binCounts.size() - 1;
+    binCounts[bin] += counts_[v];
+  }
+  const std::uint64_t peak =
+      *std::max_element(binCounts.begin(), binCounts.end());
+  std::string out;
+  for (int b = 0; b < bins; ++b) {
+    const double binLo = lo + b * width;
+    const std::uint64_t n = binCounts[static_cast<std::size_t>(b)];
+    const auto bar = static_cast<std::size_t>(
+        n * static_cast<std::uint64_t>(barWidth) / peak);
+    char label[64];
+    std::snprintf(label, sizeof label, "[%8.1f, %8.1f) %8llu ", binLo,
+                  binLo + width, static_cast<unsigned long long>(n));
+    out += label;
+    out += std::string(bar, '#');
+    out += '\n';
+  }
+  return out;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
@@ -43,16 +68,8 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return gauges_[name];
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, Histogram(std::move(bounds))).first;
-  } else if (it->second.upperBounds() != bounds) {
-    throw std::invalid_argument("histogram '" + name +
-                                "' re-registered with different bounds");
-  }
-  return it->second;
+Histogram& MetricsRegistry::histogram(const std::string& name) {
+  return histograms_[name];
 }
 
 const Counter* MetricsRegistry::findCounter(const std::string& name) const {

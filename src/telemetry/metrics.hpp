@@ -1,4 +1,4 @@
-// Run-time metrics primitives: counters, sampled gauges and fixed-bucket
+// Run-time metrics primitives: counters, sampled gauges and integer
 // histograms, collected in a name-keyed registry.
 //
 // Design constraints (the measurement layer must never distort what it
@@ -63,34 +63,44 @@ class Gauge {
   std::uint64_t count_ = 0;
 };
 
-// Fixed-bucket histogram: one bucket per upper bound (inclusive) plus an
-// implicit overflow bucket.  Bounds are fixed at creation so observing a
-// sample is a linear scan over a handful of doubles.
+// Integer histogram: one unit-width bucket per value (`bucketCounts()[v]`
+// counts the samples equal to v), grown to the largest value seen, plus
+// count, sum, min and max.  Every series the simulator records is a whole
+// number - latencies in cycles, hop counts, occupancies in flits - so the
+// mean, min, max and nearest-rank percentiles are exact, and memory is
+// bounded by the largest value rather than by the number of samples.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> upperBounds);
-
-  void observe(double v);
+  void observe(std::uint64_t v);
 
   std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
+  std::uint64_t sum() const { return sum_; }
   double mean() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
+                  : 0.0;
   }
-  const std::vector<double>& upperBounds() const { return bounds_; }
-  // bucketCounts().size() == upperBounds().size() + 1; the last entry is
-  // the overflow bucket.
+  // min() and max() are 0 when empty.
+  double min() const { return static_cast<double>(min_); }
+  double max() const {
+    return static_cast<double>(counts_.empty() ? 0 : counts_.size() - 1);
+  }
+  // Nearest rank: the smallest value v with ceil(q * count()) samples <= v
+  // (the minimum at q = 0).  Throws std::invalid_argument outside [0,1];
+  // 0 when empty.
+  double percentile(double q) const;
+
+  // size() == max() + 1 once a sample is recorded, empty before.
   const std::vector<std::uint64_t>& bucketCounts() const { return counts_; }
 
-  // Evenly spaced integer bounds [1, 2, ..., n]: the natural buckets for a
-  // FIFO-occupancy series with depth n.
-  static std::vector<double> linearBounds(int n);
+  // Text histogram: `bins` equal-width buckets between min and max, one
+  // line each, bar lengths normalized to `barWidth` characters.
+  std::string histogram(int bins = 10, int barWidth = 40) const;
 
  private:
-  std::vector<double> bounds_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
-  double sum_ = 0.0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = 0;
 };
 
 // Name-keyed collection of the three metric kinds.  Accessors create the
@@ -100,9 +110,7 @@ class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  // Throws std::invalid_argument if the histogram exists with different
-  // bounds (two instruments disagreeing about one series is a bug).
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
+  Histogram& histogram(const std::string& name);
 
   // Lookup without creation; nullptr when absent.
   const Counter* findCounter(const std::string& name) const;

@@ -141,16 +141,15 @@ std::string RunReport::toJson() const {
     first = true;
     for (const auto& [name, hist] : registry_->histograms()) {
       std::string rendered = "{\"count\": " + std::to_string(hist.count()) +
-                             ", \"sum\": " + formatNumber(hist.sum()) +
+                             ", \"sum\": " +
+                             formatNumber(static_cast<double>(hist.sum())) +
                              ", \"mean\": " + formatNumber(hist.mean()) +
                              ", \"buckets\": [";
-      const auto& bounds = hist.upperBounds();
       const auto& counts = hist.bucketCounts();
-      for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (i) rendered += ", ";
-        rendered += "{\"le\": ";
-        rendered += i < bounds.size() ? formatNumber(bounds[i]) : "\"inf\"";
-        rendered += ", \"count\": " + std::to_string(counts[i]) + "}";
+      for (std::size_t v = 0; v < counts.size(); ++v) {
+        if (v) rendered += ", ";
+        rendered += "{\"le\": " + std::to_string(v) +
+                    ", \"count\": " + std::to_string(counts[v]) + "}";
       }
       rendered += "]}";
       appendValue(out, name, rendered, first, 6);

@@ -349,14 +349,8 @@ TEST(FlowTraceTest, DecompositionStatsAggregateAllCompletedPackets) {
   ASSERT_EQ(d.hopBlocked.count(), d.endToEnd.count());
   ASSERT_EQ(d.drain.count(), d.endToEnd.count());
   // Exact-sum holds in aggregate too (sums of integer-valued samples).
-  auto total = [](const LatencyStats& s) {
-    double t = 0;
-    for (double v : s.samples()) t += v;
-    return t;
-  };
-  EXPECT_DOUBLE_EQ(total(d.endToEnd),
-                   total(d.sourceQueue) + total(d.hopMin) +
-                       total(d.hopBlocked) + total(d.drain));
+  EXPECT_EQ(d.endToEnd.sum(), d.sourceQueue.sum() + d.hopMin.sum() +
+                                 d.hopBlocked.sum() + d.drain.sum());
   const std::string table = tracer.decompositionTable();
   EXPECT_NE(table.find("end_to_end"), std::string::npos) << table;
   EXPECT_NE(table.find("source_queue"), std::string::npos) << table;

@@ -136,7 +136,7 @@ TEST(QosTest, ControlP99StaysBoundedUnderBulkFloodOnEveryTopology) {
     base.run(kWarmup + kMeasure);
     base.pauseTraffic(true);
     ASSERT_TRUE(base.drain(60000));
-    const LatencyStats& baseLat =
+    const telemetry::Histogram& baseLat =
         base.ledger().packetLatency(TrafficClass::Control);
     ASSERT_GT(baseLat.count(), 20u) << "baseline too sparse to trust";
     const double baselineP99 = baseLat.percentile(0.99);
@@ -157,9 +157,9 @@ TEST(QosTest, ControlP99StaysBoundedUnderBulkFloodOnEveryTopology) {
     ASSERT_TRUE(loaded.drain(120000));
     EXPECT_TRUE(loaded.healthy());
 
-    const LatencyStats& ctrlLat =
+    const telemetry::Histogram& ctrlLat =
         loaded.ledger().packetLatency(TrafficClass::Control);
-    const LatencyStats& bulkLat =
+    const telemetry::Histogram& bulkLat =
         loaded.ledger().packetLatency(TrafficClass::Bulk);
     ASSERT_GT(ctrlLat.count(), 20u);
     ASSERT_GT(bulkLat.count(), 50u);

@@ -5,69 +5,6 @@
 namespace rasoc::noc {
 namespace {
 
-TEST(LatencyStatsTest, EmptyStatsAreZero) {
-  LatencyStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.min(), 0.0);
-  EXPECT_EQ(stats.max(), 0.0);
-}
-
-TEST(LatencyStatsTest, SummaryStatistics) {
-  LatencyStats stats;
-  for (double v : {4.0, 8.0, 6.0, 2.0}) stats.record(v);
-  EXPECT_EQ(stats.count(), 4u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 8.0);
-}
-
-TEST(LatencyStatsTest, Percentiles) {
-  LatencyStats stats;
-  for (int i = 1; i <= 100; ++i) stats.record(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(stats.percentile(0.5), 50.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(0.99), 99.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(1.0), 100.0);
-  EXPECT_THROW(stats.percentile(1.5), std::invalid_argument);
-}
-
-TEST(LatencyStatsTest, EmptyStatsPercentileIsZero) {
-  LatencyStats stats;
-  EXPECT_DOUBLE_EQ(stats.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(1.0), 0.0);
-}
-
-TEST(LatencyStatsTest, SingleSamplePercentileIsThatSample) {
-  LatencyStats stats;
-  stats.record(7.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(0.0), 7.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(0.5), 7.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(1.0), 7.0);
-}
-
-TEST(LatencyStatsTest, PercentileTracksLateRecords) {
-  LatencyStats stats;
-  stats.record(1.0);
-  EXPECT_DOUBLE_EQ(stats.percentile(1.0), 1.0);
-  stats.record(10.0);  // sorted cache must invalidate
-  EXPECT_DOUBLE_EQ(stats.percentile(1.0), 10.0);
-}
-
-TEST(LatencyStatsTest, InterleavedRecordsAndQueriesStayConsistent) {
-  // Exercises the incremental sorted-view maintenance: every query after a
-  // burst of records must see the full sample set, including values that
-  // sort below the existing minimum.
-  LatencyStats stats;
-  for (int burst = 0; burst < 10; ++burst) {
-    for (int i = 0; i < 5; ++i)
-      stats.record(static_cast<double>((7 * burst + 3 * i) % 50));
-    EXPECT_DOUBLE_EQ(stats.percentile(0.0), stats.min());
-    EXPECT_DOUBLE_EQ(stats.percentile(1.0), stats.max());
-  }
-  EXPECT_EQ(stats.count(), 50u);
-}
-
 TEST(DeliveryLedgerTest, MatchesInjectionsToDeliveriesPerFlow) {
   DeliveryLedger ledger;
   const NodeId a{0, 0}, b{1, 0};
@@ -141,6 +78,39 @@ TEST(DeliveryLedgerTest, ErrorsOnProtocolViolations) {
   ledger.onQueued(r);
   // Delivered before its header was ever injected.
   EXPECT_THROW(ledger.onDelivered(a, b, 2), std::logic_error);
+}
+
+TEST(DeliveryLedgerTest, DiscardOpenDropsOpenPacketsFromTheCounts) {
+  DeliveryLedger ledger;
+  const NodeId a{0, 0}, b{1, 0};
+  for (int cls : {-1, 2, 2}) {
+    PacketRecord r;
+    r.src = a;
+    r.dst = b;
+    r.createdCycle = 90;
+    r.flits = 2;
+    r.trafficClass = cls;
+    ledger.onQueued(r);
+  }
+  ledger.onHeaderInjected(a, b, 91);
+  ledger.onDelivered(a, b, 95);  // the untagged packet
+  ledger.onHeaderInjected(a, b, 92, 2);  // one class-2 packet in flight
+  ledger.discardOpen();
+  EXPECT_EQ(ledger.queued(), 1u);
+  EXPECT_EQ(ledger.delivered(), 1u);
+  EXPECT_EQ(ledger.inFlight(), 0u);
+  EXPECT_EQ(ledger.queued(router::TrafficClass::Latency), 0u);
+  EXPECT_FALSE(ledger.tryDeliver(a, b, 3, 2)) << "no stale record is left";
+  // A packet queued after the discard closes its own record.
+  PacketRecord fresh;
+  fresh.src = a;
+  fresh.dst = b;
+  fresh.createdCycle = 1;
+  fresh.flits = 2;
+  ledger.onQueued(fresh);
+  ledger.onHeaderInjected(a, b, 2);
+  ledger.onDelivered(a, b, 7);
+  EXPECT_DOUBLE_EQ(ledger.packetLatency().max(), 6.0);
 }
 
 TEST(DeliveryLedgerTest, ThroughputAccounting) {

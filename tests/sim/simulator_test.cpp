@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/module.hpp"
@@ -116,7 +117,15 @@ TEST(SimulatorTest, CombinationalLoopThrows) {
   Inverter inv("inv", y);
   Simulator sim;
   sim.add(inv);
-  EXPECT_THROW(sim.settle(), std::runtime_error);
+  try {
+    sim.settle();
+    FAIL() << "a combinational loop must not settle";
+  } catch (const std::runtime_error& e) {
+    // The message names the module that still changes wires.
+    EXPECT_NE(std::string(e.what()).find("still changing: inv"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SimulatorTest, RunUntilStopsWhenPredicateFires) {

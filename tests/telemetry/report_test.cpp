@@ -46,7 +46,7 @@ TEST(ReportTest, SerializesRegistryInNameOrder) {
   registry.counter("r0,0.flits_routed").inc(7);
   registry.counter("a.counter").inc(1);
   registry.gauge("mesh.in_flight").sample(3.0);
-  registry.histogram("occ", {1.0, 2.0}).observe(1.5);
+  registry.histogram("occ").observe(2);
 
   RunReport report("run");
   report.attachRegistry(registry);
@@ -56,9 +56,14 @@ TEST(ReportTest, SerializesRegistryInNameOrder) {
             json.find("\"r0,0.flits_routed\": 7"));
   EXPECT_NE(json.find("\"mesh.in_flight\""), std::string::npos);
   EXPECT_NE(json.find("\"samples\": 1"), std::string::npos);
-  // Histogram: one count in the (1,2] bucket, overflow bucket labelled inf.
-  EXPECT_NE(json.find("{\"le\": 2, \"count\": 1}"), std::string::npos);
-  EXPECT_NE(json.find("\"le\": \"inf\""), std::string::npos);
+  // Histogram: one entry per integer value up to the largest sample, and
+  // no overflow entry.
+  EXPECT_NE(json.find("\"buckets\": [{\"le\": 0, \"count\": 0}, "
+                      "{\"le\": 1, \"count\": 0}, "
+                      "{\"le\": 2, \"count\": 1}]"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"inf\""), std::string::npos);
 }
 
 TEST(ReportTest, IdenticalInputsProduceByteIdenticalJson) {
