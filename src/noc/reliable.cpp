@@ -82,6 +82,9 @@ void ReliableTransport::reset() {
   pendingDeliveries_.clear();
   stats_ = ReliabilityStats{};
   nextFrameId_ = 1;
+  unackedTotal_ = 0;
+  backlogTotal_ = 0;
+  nextDeadline_ = kNoDeadline;
 }
 
 std::uint32_t ReliableTransport::checksum(
@@ -100,6 +103,7 @@ void ReliableTransport::submit(NodeId dst,
     transmit(dstIndex, flow, payload, cls);
   } else {
     flow.backlog.push_back({payload, cls});
+    ++backlogTotal_;
   }
 }
 
@@ -132,6 +136,7 @@ void ReliableTransport::transmit(int dstIndex, SendFlow& flow,
                             frame.frameId, true, FrameType::Data, cls});
   ++stats_.dataFramesSent;
   flow.unacked.push_back(std::move(frame));
+  ++unackedTotal_;
 }
 
 void ReliableTransport::retransmit(int dstIndex, Outstanding& frame) {
@@ -185,6 +190,7 @@ void ReliableTransport::promote(int dstIndex, SendFlow& flow) {
          !flow.backlog.empty()) {
     Backlogged next = std::move(flow.backlog.front());
     flow.backlog.pop_front();
+    --backlogTotal_;
     transmit(dstIndex, flow, std::move(next.payload), next.cls);
   }
 }
@@ -197,16 +203,24 @@ void ReliableTransport::onFrameSent(std::uint64_t frameId,
   for (Outstanding& frame : flow.unacked) {
     if (frame.frameId == frameId) {
       frame.deadline = cycle + frame.rto;
+      nextDeadline_ = std::min(nextDeadline_, frame.deadline);
       break;
     }
   }
 }
 
 void ReliableTransport::onCycle(std::uint64_t cycle) {
+  // Below the earliest armed deadline no frame expires, and every backlog
+  // sits behind a full window (submit() only backlogs then, and every
+  // window opening promotes at once), so the walk would change nothing.
+  if (cycle < nextDeadline_) return;
+  nextDeadline_ = kNoDeadline;
   for (auto& [dstIndex, flow] : sendFlows_) {
     for (auto it = flow.unacked.begin(); it != flow.unacked.end();) {
       Outstanding& frame = *it;
       if (frame.deadline == 0 || cycle < frame.deadline) {
+        if (frame.deadline != 0)
+          nextDeadline_ = std::min(nextDeadline_, frame.deadline);
         ++it;
         continue;
       }
@@ -216,8 +230,10 @@ void ReliableTransport::onCycle(std::uint64_t cycle) {
         ++stats_.abandoned;
         frameFlow_.erase(frame.frameId);
         it = flow.unacked.erase(it);
+        --unackedTotal_;
         continue;
       }
+      // The retransmission re-arms when the NI finishes streaming it.
       frame.rto = std::min(frame.rto * 2, config_.rtoMax);
       retransmit(dstIndex, frame);
       ++it;
@@ -235,6 +251,7 @@ void ReliableTransport::popAcked(SendFlow& flow, std::uint32_t upTo,
     if (!acked) break;
     frameFlow_.erase(flow.unacked.front().frameId);
     flow.unacked.pop_front();
+    --unackedTotal_;
   }
 }
 
@@ -391,30 +408,18 @@ ReliableTransport::takeDeliveries() {
 }
 
 bool ReliableTransport::idle() const {
-  if (!pendingFrames_.empty() || !pendingDeliveries_.empty()) return false;
-  for (const auto& [dst, flow] : sendFlows_) {
-    (void)dst;
-    if (!flow.unacked.empty() || !flow.backlog.empty()) return false;
-  }
-  return true;
+  return pendingFrames_.empty() && pendingDeliveries_.empty() &&
+         unackedTotal_ == 0 && backlogTotal_ == 0;
 }
 
-std::size_t ReliableTransport::backlogFrames() const {
-  std::size_t total = 0;
-  for (const auto& [dst, flow] : sendFlows_) {
-    (void)dst;
-    total += flow.backlog.size();
-  }
-  return total;
+std::size_t ReliableTransport::backlogFrames(NodeId dst) const {
+  const auto it = sendFlows_.find(topology_->indexOf(dst));
+  return it == sendFlows_.end() ? 0 : it->second.backlog.size();
 }
 
-std::size_t ReliableTransport::unackedFrames() const {
-  std::size_t total = 0;
-  for (const auto& [dst, flow] : sendFlows_) {
-    (void)dst;
-    total += flow.unacked.size();
-  }
-  return total;
+std::size_t ReliableTransport::unackedFrames(NodeId dst) const {
+  const auto it = sendFlows_.find(topology_->indexOf(dst));
+  return it == sendFlows_.end() ? 0 : it->second.unacked.size();
 }
 
 std::uint64_t ReliableTransport::currentRto(NodeId dst) const {

@@ -171,6 +171,10 @@ class ReliableTransport {
   void onFrameSent(std::uint64_t frameId, std::uint64_t cycle);
 
   /// Per-cycle timeout scan; expired frames are re-queued with doubled RTO.
+  /// O(1) until `cycle` reaches the earliest armed deadline: only a walk
+  /// can expire a frame, and a backlog can only drain when its window
+  /// opens — on an ACK/NACK (which promotes at once) or on an abandonment
+  /// inside that same walk.
   void onCycle(std::uint64_t cycle);
 
   /// Receiver: a complete, well-framed packet arrived.  `words` are all
@@ -190,8 +194,13 @@ class ReliableTransport {
   /// No unacknowledged frames, no backlog, nothing queued for the wire.
   bool idle() const;
 
-  std::size_t backlogFrames() const;
-  std::size_t unackedFrames() const;
+  /// Running totals over every flow, O(1).
+  std::size_t backlogFrames() const { return backlogTotal_; }
+  std::size_t unackedFrames() const { return unackedTotal_; }
+
+  /// The same counts for the flow toward `dst` alone.
+  std::size_t backlogFrames(NodeId dst) const;
+  std::size_t unackedFrames(NodeId dst) const;
 
   /// Current RTO of the oldest unacknowledged frame for `dst`
   /// (rtoInitial when the flow has none) — exposed for backoff tests.
@@ -262,6 +271,15 @@ class ReliableTransport {
   std::vector<Delivery> pendingDeliveries_;
   ReliabilityStats stats_;
   std::uint64_t nextFrameId_ = 1;
+
+  // Sums of every send flow's unacked / backlog sizes.
+  std::size_t unackedTotal_ = 0;
+  std::size_t backlogTotal_ = 0;
+  // No armed deadline is earlier than this (lowered by onFrameSent(),
+  // recomputed by the onCycle() walk), so onCycle() skips the walk below
+  // it.  kNoDeadline when no timer is armed.
+  static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
+  std::uint64_t nextDeadline_ = kNoDeadline;
 };
 
 }  // namespace rasoc::noc

@@ -38,6 +38,8 @@ PacketRecord DeliveryLedger::onDelivered(NodeId src, NodeId dst,
     throw std::logic_error("delivery for a flow with no open packets");
   PacketRecord record = it->second.front();
   it->second.pop_front();
+  // An empty deque still owns its block: keep only flows with open packets.
+  if (it->second.empty()) flows_.erase(it);
   if (!record.injected)
     throw std::logic_error("packet delivered before its header was injected");
   ++deliveredCount_;

@@ -60,6 +60,11 @@ class DeliveryLedger {
   // and their latencies would wrap around.
   void discardOpen();
 
+  // Flows with at least one open packet; a flow's entry goes once its
+  // last open packet closes, so memory follows the packets in flight, not
+  // every flow ever seen.
+  std::size_t openFlows() const { return flows_.size(); }
+
   std::uint64_t queued() const { return queuedCount_; }
   std::uint64_t delivered() const { return deliveredCount_; }
   std::uint64_t flitsDelivered() const { return flitsDelivered_; }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/compile.hpp"
+
 namespace rasoc::router {
 
 FaultyLink::FaultyLink(std::string name, ChannelWires& src, ChannelWires& dst,
@@ -37,8 +39,8 @@ void FaultyLink::setWindows(std::vector<FaultWindow> windows) {
           "(the credit-based ack wire carries credit returns)");
   }
   windows_ = std::move(windows);
-  stallActive_ = false;
-  downActive_ = false;
+  fault_.stall = false;
+  fault_.down = false;
   corruptRate_ = 0.0;
   recomputeActive();
 }
@@ -49,17 +51,16 @@ void FaultyLink::onReset() {
   flitsDropped_ = 0;
   stallCycles_ = 0;
   cycle_ = 0;
-  droppedThisEdge_ = false;
-  stallActive_ = false;
-  downActive_ = false;
+  fault_.stall = false;
+  fault_.down = false;
   corruptRate_ = 0.0;
   recomputeActive();
   arm();
 }
 
 void FaultyLink::recomputeActive() {
-  stallActive_ = false;
-  downActive_ = false;
+  fault_.stall = false;
+  fault_.down = false;
   double rate = flipProbability_;
   for (const auto& w : windows_) {
     if (cycle_ < w.start || cycle_ - w.start >= w.duration) continue;
@@ -68,10 +69,10 @@ void FaultyLink::recomputeActive() {
         rate = std::max(rate, w.rate);
         break;
       case FaultWindow::Kind::StuckAck:
-        stallActive_ = true;
+        fault_.stall = true;
         break;
       case FaultWindow::Kind::LinkDown:
-        downActive_ = true;
+        fault_.down = true;
         break;
     }
   }
@@ -86,15 +87,16 @@ void FaultyLink::recomputeActive() {
 
 void FaultyLink::arm() {
   if (rng_.chance(corruptRate_)) {
-    armedMask_ = 1u << rng_.below(static_cast<std::uint64_t>(dataBits_));
+    fault_.armedMask =
+        1u << rng_.below(static_cast<std::uint64_t>(dataBits_));
   } else {
-    armedMask_ = 0;
+    fault_.armedMask = 0;
   }
 }
 
 void FaultyLink::evaluate() {
   if (numVCs() > 1) {
-    if (stallActive_ || downActive_) {
+    if (fault_.masked()) {
       // VC window: present nothing downstream and mask every vcFree level
       // so the sender cannot schedule; vcAck pulses still pass (a swallowed
       // credit return would be lost forever, wedging the VC after the
@@ -116,7 +118,7 @@ void FaultyLink::evaluate() {
     Link::evaluate();
     return;
   }
-  if (stallActive_ || downActive_) {
+  if (fault_.masked()) {
     const bool bop = srcWires().flit.bop.get();
     const bool eop = srcWires().flit.eop.get();
     const bool body = !bop && !eop;
@@ -124,7 +126,7 @@ void FaultyLink::evaluate() {
     dstWires().flit.bop.set(false);
     dstWires().flit.eop.set(false);
     dstWires().val.set(false);
-    if (!stallActive_ && body) {
+    if (!fault_.stall && body) {
       // Link down: consume the offered body flit without presenting it.
       srcWires().ack.set(srcWires().val.get());
     } else {
@@ -136,20 +138,48 @@ void FaultyLink::evaluate() {
   Link::evaluate();
 }
 
-void FaultyLink::clockEdge() {
-  const bool val = srcWires().val.get();
-  const bool bop = srcWires().flit.bop.get();
-  const bool eop = srcWires().flit.eop.get();
-  const bool body = !bop && !eop;
+// Samples the settled pre-edge upstream nets through Wire::get(): the
+// behavioural kernels' view for commitEdge().
+struct FaultyLink::WireSample {
+  const FaultyLink* link;
+
+  bool val() const { return link->srcWires().val.get(); }
+  bool ack() const { return link->srcWires().ack.get(); }
+  bool bop() const { return link->srcWires().flit.bop.get(); }
+  bool eop() const { return link->srcWires().flit.eop.get(); }
+};
+
+void FaultyLink::clockEdge() { commitEdge(WireSample{this}); }
+
+template <typename S>
+void FaultyLink::commitEdge(const S& s) {
+  const bool val = s.val();
+  const bool bop = s.bop();
+  const bool body = !bop && !s.eop();
+  const bool single = numVCs() == 1;
   // VC windows never consume flits (see evaluate()); every active-window
   // cycle counts as a stall because all VCs are frozen for its duration.
-  droppedThisEdge_ =
-      numVCs() == 1 && downActive_ && !stallActive_ && body && val;
+  const bool dropped = single && fault_.down && !fault_.stall && body && val;
   const bool blockedByFault =
-      numVCs() == 1 ? (val && (stallActive_ || (downActive_ && !body)))
-                    : (stallActive_ || downActive_);
-  Link::clockEdge();
-  if (droppedThisEdge_) {
+      single ? (val && (fault_.stall || (fault_.down && !body)))
+             : fault_.masked();
+  // As Link::clockEdge(); with VCs a scheduled flit always transfers.
+  const bool transferred =
+      single && flowControl() == FlowControl::Handshake ? val && s.ack()
+                                                        : val;
+  if (transferred) {
+    countTransfer();
+    // Headers pass clean and do not consume the armed mask.  A dropped
+    // flit never reached the far side, so its mask was not applied.
+    if (!bop) {
+      if (!dropped && fault_.armedMask != 0) {
+        ++flitsCorrupted_;
+        if (metrics_.flitsCorrupted) metrics_.flitsCorrupted->inc();
+      }
+      arm();
+    }
+  }
+  if (dropped) {
     ++flitsDropped_;
     if (metrics_.flitsDropped) metrics_.flitsDropped->inc();
   }
@@ -157,7 +187,6 @@ void FaultyLink::clockEdge() {
     ++stallCycles_;
     if (metrics_.stallCycles) metrics_.stallCycles->inc();
   }
-  droppedThisEdge_ = false;
   ++cycle_;
   recomputeActive();
 }
@@ -166,22 +195,48 @@ std::uint32_t FaultyLink::transformData(std::uint32_t data, bool bop,
                                         bool eop) {
   (void)eop;
   if (bop) return data;  // headers pass clean (see header comment)
-  return data ^ armedMask_;
+  return data ^ fault_.armedMask;
 }
 
-void FaultyLink::onTransfer(bool bop) {
-  // Headers pass clean and do not consume the armed mask.
-  if (bop) return;
-  if (droppedThisEdge_) {
-    // The flit never reached the far side; the armed mask was not applied.
-    arm();
-    return;
-  }
-  if (armedMask_ != 0) {
-    ++flitsCorrupted_;
-    if (metrics_.flitsCorrupted) metrics_.flitsCorrupted->inc();
-  }
-  arm();
+// --- compiled-kernel lowering ----------------------------------------------
+//
+// Settle: Link::describeCopies() with this link's LinkFaultState, so the
+// forward and reverse copies mask exactly as evaluate() does.  Edge: one
+// op running commitEdge() over the arena, in the link's clockEdgeAll()
+// slot, so the RNG stream and every counter match clockEdge().
+
+struct FaultyLink::EdgeCtx {
+  FaultyLink* link = nullptr;
+  sim::Slice val, ack;  // ack: single VC only
+  std::uint32_t srcWord = 0;
+};
+
+// Samples the same nets as WireSample from the settled arena.
+struct FaultyLink::ArenaSample {
+  const std::uint64_t* w;
+  const EdgeCtx* c;
+
+  bool val() const { return sim::opBit(w, c->val); }
+  bool ack() const { return sim::opBit(w, c->ack); }
+  bool bop() const { return sim::opFlitBop(w, c->srcWord); }
+  bool eop() const { return sim::opFlitEop(w, c->srcWord); }
+};
+
+void FaultyLink::edgeOp(std::uint64_t* w, void* vctx) {
+  const auto* c = static_cast<const EdgeCtx*>(vctx);
+  c->link->commitEdge(ArenaSample{w, c});
+}
+
+bool FaultyLink::describe(sim::Lowering& lw) {
+  describeCopies(lw, &fault_);
+  EdgeCtx edge;
+  edge.link = this;
+  edge.val = lw.bit(srcWires().val);
+  if (numVCs() == 1) edge.ack = lw.bit(srcWires().ack);
+  edge.srcWord = lw.flitWord(srcWires().flit.data, srcWires().flit.bop,
+                             srcWires().flit.eop);
+  lw.edgeOp(&edgeOp, lw.ctx(edge));
+  return true;
 }
 
 }  // namespace rasoc::router

@@ -24,7 +24,10 @@
 ///
 /// The flip decision for the next flit is drawn at the clock edge so the
 /// combinational evaluate() stays idempotent, and window activity is
-/// recomputed from a registered cycle counter for the same reason.  Stall
+/// recomputed from a registered cycle counter for the same reason.  That
+/// registered LinkFaultState is all the compiled kernel's lowering needs:
+/// the plain link's copy ops, fault-aware, plus one edge op over the same
+/// commitEdge() body clockEdge() runs (DESIGN.md §11.2).  Stall
 /// and drop windows require handshake flow control: under credit-based
 /// flow control the ack wire carries credit returns, and masking or
 /// forcing it would corrupt the credit accounting rather than model a
@@ -90,10 +93,11 @@ class FaultyLink : public Link {
   /// window.
   std::uint64_t stallCycles() const { return stallCycles_; }
 
-  /// Fault behaviour (RNG draws, window masking) stays behavioural under
-  /// the compiled kernel: the base Link's typeid guard already falls back,
-  /// this override just makes the choice explicit.
-  bool describe(sim::Lowering&) override { return false; }
+  /// Compiled-kernel lowering: the plain link's forward and reverse copy
+  /// ops in their fault-aware form, reading the registered fault state
+  /// (window masking, armed mask), plus one edge op over commitEdge(), so
+  /// the RNG draws and every counter match the behavioural kernels.
+  bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
@@ -101,9 +105,20 @@ class FaultyLink : public Link {
   void clockEdge() override;
   std::uint32_t transformData(std::uint32_t data, bool bop,
                               bool eop) override;
-  void onTransfer(bool bop) override;
 
  private:
+  // The clock edge — transfer counting, corruption/drop/stall accounting,
+  // the next flit's flip draw and the window update — as one body for
+  // every kernel.  `S` samples the settled pre-edge upstream nets:
+  // WireSample through Wire::get() (clockEdge()), ArenaSample from the
+  // compiled edge op's slices.  Both provide val(), ack(), bop() and eop().
+  template <typename S>
+  void commitEdge(const S& s);
+  struct WireSample;
+  struct EdgeCtx;
+  struct ArenaSample;
+  static void edgeOp(std::uint64_t* words, void* ctx);
+
   void arm();
   void recomputeActive();
 
@@ -114,13 +129,11 @@ class FaultyLink : public Link {
   std::vector<FaultWindow> windows_;
 
   // Registered state: recomputed at reset and at every clock edge so the
-  // combinational evaluate() sees a stable view within each settle.
+  // combinational evaluate() (and the lowered ops) see a stable view
+  // within each settle.
   std::uint64_t cycle_ = 0;
-  bool stallActive_ = false;
-  bool downActive_ = false;
+  LinkFaultState fault_;       // window flags and the armed flip mask
   double corruptRate_ = 0.0;   // effective flip probability this cycle
-  std::uint32_t armedMask_ = 0;  // XORed into the next payload flit
-  bool droppedThisEdge_ = false;
 
   std::uint64_t flitsCorrupted_ = 0;
   std::uint64_t flitsDropped_ = 0;

@@ -55,21 +55,40 @@ InputChannel::InputChannel(std::string name, const RouterParams& params,
 void InputChannel::attachMetrics(const InputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // The compiled edge lowering depends on whether metrics accounting runs.
+  // The edge op reads the metrics through the channel, so the program
+  // stays valid; the notification keeps the contract every channel's
+  // attachMetrics shares (a lowering may depend on attached state).
   noteDescribeChanged();
 }
 
-void InputChannel::clockEdge() {
-  if (wr_.get() && !ib_->full()) ++flitsAccepted_;
+// Samples the settled pre-edge nets through Wire::get(): the behavioural
+// kernels' view for commitEdge().
+struct InputChannel::WireSample {
+  const InputChannel* ch;
+
+  bool wr() const { return ch->wr_.get(); }
+  bool rok() const { return ch->rok_.get(); }
+  bool rd() const { return ch->rd_.get(); }
+  int occupancy() const { return ch->ib_->occupancy(); }
+  int depth() const { return ch->ib_->depth(); }
+};
+
+void InputChannel::clockEdge() { commitEdge(WireSample{this}); }
+
+template <typename S>
+void InputChannel::commitEdge(const S& s) {
+  // Runs before the buffer child's commit (clockEdgeAll() preorder), so
+  // the occupancy is pre-commit.
+  const int occupancy = s.occupancy();
+  const bool accepted = s.wr() && occupancy < s.depth();
+  if (accepted) ++flitsAccepted_;
   if (!metricsAttached_) return;
-  if (metrics_.flitsAccepted && wr_.get() && !ib_->full())
-    metrics_.flitsAccepted->inc();
-  if (metrics_.fullCycles && ib_->full()) metrics_.fullCycles->inc();
-  if (metrics_.stallCycles && rok_.get() && !rd_.get())
-    metrics_.stallCycles->inc();
+  if (metrics_.flitsAccepted && accepted) metrics_.flitsAccepted->inc();
+  if (metrics_.fullCycles && occupancy >= s.depth())
+    metrics_.fullCycles->inc();
+  if (metrics_.stallCycles && s.rok() && !s.rd()) metrics_.stallCycles->inc();
   if (metrics_.occupancy)
-    metrics_.occupancy->observe(
-        static_cast<std::uint64_t>(ib_->occupancy()));
+    metrics_.occupancy->observe(static_cast<std::uint64_t>(occupancy));
 }
 
 // --- compiled-kernel lowering ------------------------------------------
@@ -86,8 +105,10 @@ void InputChannel::clockEdge() {
 //              from flowCtl: fusing them would tie the in_ack driver to the
 //              gnt/rd readers and manufacture a false combinational cycle
 //              through the neighbouring router's ack chain.
-//   edge     - flit-accept counting plus the FIFO commit, reading wr/rd/din
-//              from the settled arena exactly as clockEdge() reads wires.
+//   edge     - commitEdge() over ArenaSample (accept counting, metrics
+//              behind the same metricsAttached_ test as clockEdge()), then
+//              the FIFO commit, reading wr/rd/din from the settled arena
+//              exactly as the buffer's clockEdge() reads wires.
 
 // Each op carries exactly the slices it touches: op contexts are the
 // interpreter's dominant memory traffic, so smaller structs mean fewer
@@ -127,19 +148,6 @@ struct InChanRsCtx {
 struct InChanRsCrCtx {
   InChanRsCtx rs;
   sim::Slice rok, inAck;
-};
-
-struct InChanCommitCtx {
-  InputBuffer* ib = nullptr;
-  sim::Slice wr, rd;
-  std::uint32_t inWord = 0;
-};
-
-struct InChanEdgeCtx {
-  InChanCommitCtx commit;
-  const int* count = nullptr;
-  int depth = 0;
-  std::uint64_t* flitsAccepted = nullptr;
 };
 
 // IB publish + IC routing (ic.cpp InputController::evaluate over the
@@ -204,25 +212,39 @@ void inChanReadSwitchCredit(std::uint64_t* w, void* vctx) {
   sim::opPutBit(w, c->inAck, read && sim::opBit(w, c->rok));
 }
 
-// FIFO commit only (the metrics path lets clockEdge() do the accounting).
-void inChanCommit(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanCommitCtx*>(vctx);
-  c->ib->commitEdge(sim::opBit(w, c->wr), sim::opBit(w, c->rd),
-                    sim::opFlitData(w, c->inWord),
-                    sim::opFlitBop(w, c->inWord),
-                    sim::opFlitEop(w, c->inWord));
-}
-
-// Accept counting + FIFO commit, in clockEdgeAll() order (channel before
-// buffer child, so the occupancy test sees pre-commit state).
-void inChanEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanEdgeCtx*>(vctx);
-  if (sim::opBit(w, c->commit.wr) && *c->count < c->depth)
-    ++*c->flitsAccepted;
-  inChanCommit(w, &c->commit);
-}
-
 }  // namespace
+
+// The buffer's pointer, depth and occupancy ride in the context, so the
+// metrics-off edge touches the channel object only for its counter.
+struct InputChannel::EdgeCtx {
+  InputChannel* ch = nullptr;
+  InputBuffer* ib = nullptr;
+  const int* count = nullptr;  // the buffer's registered occupancy
+  int depth = 0;
+  sim::Slice wr, rok, rd;
+  std::uint32_t inWord = 0;
+};
+
+// Samples the same nets as WireSample from the settled arena.
+struct InputChannel::ArenaSample {
+  const std::uint64_t* w;
+  const EdgeCtx* c;
+
+  bool wr() const { return sim::opBit(w, c->wr); }
+  bool rok() const { return sim::opBit(w, c->rok); }
+  bool rd() const { return sim::opBit(w, c->rd); }
+  int occupancy() const { return *c->count; }
+  int depth() const { return c->depth; }
+};
+
+// The channel's edge, then the buffer child's, in clockEdgeAll() order.
+void InputChannel::edgeOp(std::uint64_t* w, void* vctx) {
+  const auto* c = static_cast<const EdgeCtx*>(vctx);
+  const ArenaSample s{w, c};
+  c->ch->commitEdge(s);
+  c->ib->commitEdge(s.wr(), s.rd(), sim::opFlitData(w, c->inWord),
+                   sim::opFlitBop(w, c->inWord), sim::opFlitEop(w, c->inWord));
+}
 
 bool InputChannel::describe(sim::Lowering& lw) {
   const InputBuffer::CompiledView view = ib_->compiledView();
@@ -286,23 +308,16 @@ bool InputChannel::describe(sim::Lowering& lw) {
           {&rd_, &in_->ack});
   }
 
-  InChanCommitCtx commit;
-  commit.ib = ib_.get();
-  commit.wr = lw.bit(wr_);
-  commit.rd = rs.rd;
-  commit.inWord = lw.flitWord(in_->flit.data, in_->flit.bop, in_->flit.eop);
-
-  if (metricsAttached_) {
-    lw.edgeCall(*this);  // accept counter + metrics via clockEdge()
-    lw.edgeOp(&inChanCommit, lw.ctx(commit));
-  } else {
-    InChanEdgeCtx edge;
-    edge.commit = commit;
-    edge.count = view.count;
-    edge.depth = ib_->depth();
-    edge.flitsAccepted = &flitsAccepted_;
-    lw.edgeOp(&inChanEdge, lw.ctx(edge));
-  }
+  EdgeCtx edge;
+  edge.ch = this;
+  edge.ib = ib_.get();
+  edge.count = view.count;
+  edge.depth = ib_->depth();
+  edge.wr = lw.bit(wr_);
+  edge.rok = pub.rok;
+  edge.rd = rs.rd;
+  edge.inWord = lw.flitWord(in_->flit.data, in_->flit.bop, in_->flit.eop);
+  lw.edgeOp(&edgeOp, lw.ctx(edge));
   return true;
 }
 
@@ -340,7 +355,7 @@ void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
   metricsAttached_ = true;
   // The edge op reads the metrics through the channel, so the program
   // stays valid; the notification keeps the contract every channel's
-  // attachMetrics shares (the single-VC lowering does fork on metrics).
+  // attachMetrics shares (a lowering may depend on attached state).
   noteDescribeChanged();
 }
 

@@ -67,13 +67,27 @@ class InputChannel : public sim::Module {
 
   /// Compiled-kernel lowering: replaces the IFC/IB/IC/IRS subtree with
   /// three fused arena ops (FIFO publish + routing, link-side flow control,
-  /// read switch) and a fused edge op (router/input_channel.cpp).
+  /// read switch) and one edge op that runs commitEdge() and then the
+  /// buffer's commit (router/input_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void clockEdge() override;
 
  private:
+  // The channel's own clock edge — accept counting and metrics — as one
+  // body for every kernel (the FIFO commit is the buffer child's edge).
+  // `S` samples the settled pre-edge nets: WireSample through Wire::get()
+  // (clockEdge()), ArenaSample from the compiled edge op's slices.  Both
+  // provide wr(), rok(), rd(), the buffer's pre-commit occupancy() and
+  // its depth().
+  template <typename S>
+  void commitEdge(const S& s);
+  struct WireSample;
+  struct EdgeCtx;
+  struct ArenaSample;
+  static void edgeOp(std::uint64_t* words, void* ctx);
+
   Port ownPort_;
 
   // Internal nets (VHDL signals of the input_channel entity).
@@ -90,11 +104,12 @@ class InputChannel : public sim::Module {
   Irs irs_;
   std::unique_ptr<CreditReturnTap> creditTap_;  // credit mode only
 
+  // Side by side: the edge reads both every cycle.
   std::uint64_t flitsAccepted_ = 0;
+  bool metricsAttached_ = false;
   const ChannelWires* in_;
   const CrossbarWires* xbar_;
   InputChannelMetrics metrics_;
-  bool metricsAttached_ = false;
 };
 
 /// Per-VC instrumentation for the VC'd input channel (telemetry subsystem):

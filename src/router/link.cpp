@@ -62,10 +62,7 @@ void Link::clockEdge() {
       (flowControl_ == FlowControl::Handshake && numVCs_ == 1)
           ? (src_->val.get() && src_->ack.get())
           : src_->val.get();
-  if (transferred) {
-    ++flitsTransferred_;
-    onTransfer(src_->flit.bop.get());
-  }
+  if (transferred) ++flitsTransferred_;
 }
 
 // --- compiled-kernel lowering ------------------------------------------
@@ -74,6 +71,11 @@ void Link::clockEdge() {
 // fusing them would tie the downstream val driver to the downstream ack
 // reader and manufacture a false combinational cycle through the
 // receiving router's flow controller.
+//
+// A fault-injecting link lowers to the same units with fault-aware op
+// functions whose contexts add a pointer to its registered LinkFaultState;
+// plain links keep the plain ops, so fault-free networks pay nothing for
+// the fault path.
 
 // Each op carries exactly the slices it touches: op contexts are the
 // interpreter's dominant memory traffic, so smaller structs mean fewer
@@ -107,6 +109,22 @@ struct LinkEdgeCtx {
   std::uint64_t* flits = nullptr;
 };
 
+// Fault-aware contexts: the plain context plus the link's fault state.
+template <typename Ctx>
+struct Faulty {
+  Ctx plain;
+  const LinkFaultState* fault = nullptr;
+};
+
+// The reverse op of a faulted single-VC link also reads the offered flit:
+// a LinkDown window acks (consumes) body flits.
+struct FaultyRevCtx {
+  LinkRevCtx rev;
+  std::uint32_t srcWord = 0;
+  sim::Slice srcVal;
+  const LinkFaultState* fault = nullptr;
+};
+
 void linkForward(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<LinkFwdCtx*>(vctx);
   sim::opCopyFlit(w, c->dstWord, c->srcWord);
@@ -138,14 +156,76 @@ void linkEdge(std::uint64_t* w, void* vctx) {
   if (transferred) ++*c->flits;
 }
 
+// FaultyLink::evaluate() over the arena.  An active window presents
+// nothing downstream; otherwise the flit is copied and a payload flit
+// (not a header) carries the armed mask in its data bits.
+void forwardFaulted(std::uint64_t* w, const LinkFwdCtx& f,
+                    const LinkFaultState& fault) {
+  if (fault.masked()) {
+    sim::opPutFlit(w, f.dstWord, 0, false, false);
+    sim::opPutBit(w, f.dstVal, false);
+    return;
+  }
+  sim::opCopyFlit(w, f.dstWord, f.srcWord);
+  if (!sim::opFlitBop(w, f.srcWord)) w[f.dstWord] ^= fault.armedMask;
+  sim::opPutBit(w, f.dstVal, sim::opBit(w, f.srcVal));
+}
+
+void faultyForward(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<Faulty<LinkFwdCtx>*>(vctx);
+  forwardFaulted(w, c->plain, *c->fault);
+}
+
+void faultyVcForward(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<Faulty<LinkVcFwdCtx>*>(vctx);
+  forwardFaulted(w, c->plain.fwd, *c->fault);
+  sim::opPutWord32(w, c->plain.dstVc,
+                   c->fault->masked() ? 0 : sim::opWord32(w, c->plain.srcVc));
+}
+
+// Single VC: a StuckAck window holds ack low; a LinkDown window acks an
+// offered body flit (consuming it) and holds framing flits.
+void faultyReverse(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<FaultyRevCtx*>(vctx);
+  bool ack = sim::opBit(w, c->rev.dstAck);
+  if (c->fault->masked()) {
+    const bool body = !sim::opFlitBop(w, c->srcWord) &&
+                      !sim::opFlitEop(w, c->srcWord);
+    ack = !c->fault->stall && body && sim::opBit(w, c->srcVal);
+  }
+  sim::opPutBit(w, c->rev.srcAck, ack);
+}
+
+// With VCs a window masks every vcFree level, so the sender cannot
+// schedule; the vcAck credit pulses keep their plain copy.
+void faultyVcFree(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<Faulty<LinkVcRevCtx>*>(vctx);
+  const LinkVcRevCtx& r = c->plain;
+  const bool masked = c->fault->masked();
+  for (int v = 0; v < r.numVCs; ++v)
+    sim::opPutBit(w, r.src[v], !masked && sim::opBit(w, r.dst[v]));
+}
+
 }  // namespace
 
 bool Link::describe(sim::Lowering& lw) {
-  // Subclasses override transformData/onTransfer/evaluate (fault
-  // injection); only an exact Link is pass-through wiring.  They run as
-  // behavioural thunks instead.
+  // Only an exact Link is pass-through wiring; a subclass that overrides
+  // evaluate()/transformData() without describing itself runs as a
+  // behavioural thunk.
   if (typeid(*this) != typeid(Link)) return false;
+  describeCopies(lw, nullptr);
 
+  LinkEdgeCtx edge;
+  edge.srcVal = lw.bit(src_->val);
+  edge.flits = &flitsTransferred_;
+  // With VCs a scheduled flit always transfers.
+  edge.handshake = flowControl_ == FlowControl::Handshake && numVCs_ == 1;
+  if (edge.handshake) edge.srcAck = lw.bit(src_->ack);
+  lw.edgeOp(&linkEdge, lw.ctx(edge));
+  return true;
+}
+
+void Link::describeCopies(sim::Lowering& lw, const LinkFaultState* fault) {
   LinkFwdCtx fwd;
   fwd.srcWord = lw.flitWord(src_->flit.data, src_->flit.bop, src_->flit.eop);
   fwd.dstWord = lw.flitWord(dst_->flit.data, dst_->flit.bop, dst_->flit.eop);
@@ -156,10 +236,6 @@ bool Link::describe(sim::Lowering& lw) {
   std::vector<const sim::WireBase*> fwdWrites = {
       &dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val};
 
-  LinkEdgeCtx edge;
-  edge.srcVal = fwd.srcVal;
-  edge.flits = &flitsTransferred_;
-
   if (numVCs_ > 1) {
     // VC mode: the vc tag rides the forward copy; upstream, vcFree and
     // vcAck are separate copies.  vcAck depends on the receiving router's
@@ -167,18 +243,24 @@ bool Link::describe(sim::Lowering& lw) {
     // unit would chain every link's reverse path to its successor's and
     // close a cycle around any loop of links.  Handshake mode never drives
     // vcAck (transfers are unconditional once scheduled), so it has no
-    // copy there; the ack wire is unused either way.
+    // copy there; the ack wire is unused either way.  A fault window masks
+    // vcFree only: a swallowed credit pulse would wedge the VC for good.
     LinkVcFwdCtx vfwd;
     vfwd.fwd = fwd;
     vfwd.srcVc = lw.word32(src_->vc);
     vfwd.dstVc = lw.word32(dst_->vc);
     fwdReads.push_back(&src_->vc);
     fwdWrites.push_back(&dst_->vc);
-    lw.op(&linkVcForward, lw.ctx(vfwd), std::move(fwdReads),
-          std::move(fwdWrites));
+    if (fault)
+      lw.op(&faultyVcForward, lw.ctx(Faulty<LinkVcFwdCtx>{vfwd, fault}),
+            std::move(fwdReads), std::move(fwdWrites));
+    else
+      lw.op(&linkVcForward, lw.ctx(vfwd), std::move(fwdReads),
+            std::move(fwdWrites));
 
     auto reverse = [&](std::array<sim::Wire<bool>, kMaxVCs>& srcLevels,
-                       std::array<sim::Wire<bool>, kMaxVCs>& dstLevels) {
+                       std::array<sim::Wire<bool>, kMaxVCs>& dstLevels,
+                       const LinkFaultState* mask) {
       LinkVcRevCtx rev;
       rev.numVCs = numVCs_;
       std::vector<const sim::WireBase*> reads;
@@ -190,29 +272,38 @@ bool Link::describe(sim::Lowering& lw) {
         reads.push_back(&dstLevels[vi]);
         writes.push_back(&srcLevels[vi]);
       }
-      lw.op(&linkVcReverse, lw.ctx(rev), std::move(reads), std::move(writes));
+      if (mask)
+        lw.op(&faultyVcFree, lw.ctx(Faulty<LinkVcRevCtx>{rev, mask}),
+              std::move(reads), std::move(writes));
+      else
+        lw.op(&linkVcReverse, lw.ctx(rev), std::move(reads),
+              std::move(writes));
     };
-    reverse(src_->vcFree, dst_->vcFree);
+    reverse(src_->vcFree, dst_->vcFree, fault);
     if (flowControl_ == FlowControl::CreditBased)
-      reverse(src_->vcAck, dst_->vcAck);
-
-    // With VCs a scheduled flit always transfers.
-    edge.handshake = false;
-    lw.edgeOp(&linkEdge, lw.ctx(edge));
-    return true;
+      reverse(src_->vcAck, dst_->vcAck, nullptr);
+    return;
   }
-
-  lw.op(&linkForward, lw.ctx(fwd), std::move(fwdReads), std::move(fwdWrites));
 
   LinkRevCtx rev;
   rev.srcAck = lw.bit(src_->ack);
   rev.dstAck = lw.bit(dst_->ack);
-  lw.op(&linkReverse, lw.ctx(rev), {&dst_->ack}, {&src_->ack});
-
-  edge.srcAck = rev.srcAck;
-  edge.handshake = flowControl_ == FlowControl::Handshake;
-  lw.edgeOp(&linkEdge, lw.ctx(edge));
-  return true;
+  if (!fault) {
+    lw.op(&linkForward, lw.ctx(fwd), std::move(fwdReads),
+          std::move(fwdWrites));
+    lw.op(&linkReverse, lw.ctx(rev), {&dst_->ack}, {&src_->ack});
+    return;
+  }
+  lw.op(&faultyForward, lw.ctx(Faulty<LinkFwdCtx>{fwd, fault}),
+        std::move(fwdReads), std::move(fwdWrites));
+  FaultyRevCtx frev;
+  frev.rev = rev;
+  frev.srcWord = fwd.srcWord;
+  frev.srcVal = fwd.srcVal;
+  frev.fault = fault;
+  lw.op(&faultyReverse, lw.ctx(frev),
+        {&dst_->ack, &src_->val, &src_->flit.bop, &src_->flit.eop},
+        {&src_->ack});
 }
 
 }  // namespace rasoc::router

@@ -15,6 +15,16 @@
 
 namespace rasoc::router {
 
+/// Registered fault state a fault-injecting link applies on top of the
+/// plain copies (router/faulty_link.hpp).  It changes only at clock edges,
+/// so the lowered copy ops read it through a pointer.
+struct LinkFaultState {
+  std::uint32_t armedMask = 0;  ///< XORed into the next payload flit
+  bool stall = false;           ///< a StuckAck window is active
+  bool down = false;            ///< a LinkDown window is active
+  bool masked() const { return stall || down; }
+};
+
 /// Combinational point-to-point channel segment.
 ///
 /// A Link is pass-through wiring plus bookkeeping: it copies the sender's
@@ -58,13 +68,19 @@ class Link : public sim::Module {
   /// Compiled-kernel lowering: a plain link is masked word copies — flit +
   /// val (+ vc) downstream; ack, or with VCs the vcFree levels and (credit
   /// mode) the vcAck pulses as two separate copies, upstream — and a
-  /// counting edge op.  Subclasses with fault behaviour fall back to
-  /// behavioural thunks (link.cpp guards on the dynamic type).
+  /// counting edge op.  A subclass that does not override describe() falls
+  /// back to a behavioural thunk (link.cpp guards on the dynamic type).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void evaluate() override;
   void clockEdge() override;
+
+  /// The settle half of describe(): the forward and reverse copy ops.
+  /// With `fault`, the ops apply it the way FaultyLink::evaluate() does —
+  /// an active window masks the downstream flit and the upstream ack or
+  /// vcFree levels, and payload flits carry the armed mask.
+  void describeCopies(sim::Lowering& lw, const LinkFaultState* fault);
 
   /// Hook for derived links (fault injection): the data word actually
   /// presented downstream.  Must be a pure function of its inputs and the
@@ -76,9 +92,8 @@ class Link : public sim::Module {
     return data;
   }
 
-  /// Called once per transferred flit, at the clock edge; `bop` marks
-  /// header flits.
-  virtual void onTransfer(bool bop) { (void)bop; }
+  /// Counts one transferred flit (derived links' clock edges).
+  void countTransfer() { ++flitsTransferred_; }
 
   /// Wire bundles, exposed so fault-injecting subclasses can mask the
   /// val/ack handshake (stall and link-down windows).

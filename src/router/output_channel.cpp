@@ -16,8 +16,8 @@ OutputChannel::OutputChannel(std::string name, const RouterParams& params,
           connected_, sel_, arbiter),
       ods_(this->name() + ".ods", xbar, connected_, sel_, out.flit),
       ors_(this->name() + ".ors", xbar, connected_, sel_, rokSel_),
-      out_(&out),
       flowControl_(params.flowControl),
+      out_(&out),
       xbar_(&xbar) {
   addChild(oc_);
   addChild(ods_);
@@ -38,32 +38,49 @@ OutputChannel::OutputChannel(std::string name, const RouterParams& params,
 void OutputChannel::attachMetrics(const OutputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // The compiled edge lowering depends on whether metrics accounting runs.
+  // The edge op reads the metrics through the channel, so the program
+  // stays valid; the notification keeps the contract every channel's
+  // attachMetrics shares (a lowering may depend on attached state).
   noteDescribeChanged();
 }
 
-void OutputChannel::clockEdge() {
+// Samples the settled pre-edge nets through Wire::get(): the behavioural
+// kernels' view for commitEdge().
+struct OutputChannel::WireSample {
+  const OutputChannel* ch;
+
+  bool val() const { return ch->out_->val.get(); }
+  bool ack() const { return ch->out_->ack.get(); }
+  bool req(int i) const {
+    return (*ch->xbar_)[static_cast<std::size_t>(i)]
+        .req[static_cast<std::size_t>(index(ch->ownPort_))]
+        .get();
+  }
+};
+
+void OutputChannel::clockEdge() { commitEdge(WireSample{this}); }
+
+template <typename S>
+void OutputChannel::commitEdge(const S& s) {
+  const bool val = s.val();
   const bool transferred =
-      flowControl_ == FlowControl::Handshake
-          ? (out_->val.get() && out_->ack.get())
-          : out_->val.get();
+      flowControl_ == FlowControl::Handshake ? (val && s.ack()) : val;
   if (transferred) ++flitsSent_;
   if (!metricsAttached_) return;
   if (transferred) {
     if (metrics_.flitsSent) metrics_.flitsSent->inc();
     if (metrics_.routerFlits) metrics_.routerFlits->inc();
   }
-  if (metrics_.busyCycles && out_->val.get()) metrics_.busyCycles->inc();
-  // Arbitration accounting, observed pre-edge (this module's clockEdge runs
-  // before the OC child's): the OC grants this edge iff it is idle and some
-  // input requests; a conflict cycle leaves at least one requester waiting.
+  if (metrics_.busyCycles && val) metrics_.busyCycles->inc();
+  // Arbitration accounting, observed pre-edge (this runs before the OC
+  // child's edge): the OC grants this edge iff it is idle and some input
+  // requests; a conflict cycle leaves at least one requester waiting.
   const int own = index(ownPort_);
   int waiting = 0;
   for (int i = 0; i < kNumPorts; ++i) {
     if (i == own) continue;
-    const auto& x = (*xbar_)[static_cast<std::size_t>(i)];
-    if (x.req[own].get() && !(oc_.isConnected() && oc_.selectedInput() ==
-                                  static_cast<Port>(i)))
+    if (s.req(i) && !(oc_.isConnected() &&
+                      oc_.selectedInput() == static_cast<Port>(i)))
       ++waiting;
   }
   if (!oc_.isConnected() && waiting > 0) {
@@ -85,11 +102,12 @@ void OutputChannel::clockEdge() {
 //   flowRsp  - the flow-control response: under handshake, out_ack fanned
 //              out to x_rd and every input's rd line; under credit flow
 //              control the credit-gated send driving out_val/x_rd/rd.
-//   edge     - flit-sent counting, the OC arbitration step and, in credit
-//              mode, the credit counter update - all reading the settled
-//              arena exactly as the behavioural clockEdge() chain reads
-//              wires, in the same order (channel counters, then OC, then
-//              OFC).
+//   edge     - commitEdge() over ArenaSample (sent counting, metrics
+//              behind the same metricsAttached_ test as clockEdge()), then
+//              the OC arbitration step and, in credit mode, the credit
+//              counter update - all reading the settled arena exactly as
+//              the behavioural clockEdge() chain reads wires, in the same
+//              order (channel, then OC, then OFC).
 
 // Each op carries exactly the slices it touches: op contexts are the
 // interpreter's dominant memory traffic, so smaller structs mean fewer
@@ -116,21 +134,6 @@ struct OutChanFlowCrCtx {
   CreditOfc* credit = nullptr;
   sim::Slice rokSel, outVal, xRd;
   sim::Slice rdOut[kNumPorts];
-};
-
-struct OutChanBlocksEdgeCtx {
-  OutputController* oc = nullptr;
-  CreditOfc* credit = nullptr;  // null under handshake flow control
-  sim::Slice rokSel, xRd, outAck;
-  std::uint32_t outWord = 0;
-  sim::Slice req[kNumPorts];
-};
-
-struct OutChanEdgeCtx {
-  OutChanBlocksEdgeCtx blocks;
-  bool handshake = true;
-  sim::Slice outVal;
-  std::uint64_t* flitsSent = nullptr;
 };
 
 // OC publish + ODS + ORS (+ handshake out_val).
@@ -168,31 +171,38 @@ void outChanFlowCredit(std::uint64_t* w, void* vctx) {
   for (int i = 0; i < kNumPorts; ++i) sim::opPutBit(w, c->rdOut[i], send);
 }
 
-// OC arbitration + credit counter only (the metrics path lets clockEdge()
-// do the counter/metrics accounting first).
-void outChanBlocksEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<OutChanBlocksEdgeCtx*>(vctx);
-  bool req[kNumPorts];
-  for (int i = 0; i < kNumPorts; ++i) req[i] = sim::opBit(w, c->req[i]);
-  c->oc->edgeStep(req, sim::opFlitEop(w, c->outWord),
-                  sim::opBit(w, c->rokSel), sim::opBit(w, c->xRd));
-  if (c->credit)
-    c->credit->creditEdge(sim::opBit(w, c->rokSel),
-                          sim::opBit(w, c->outAck));
-}
-
-// Sent counting + arbitration + credits, in clockEdgeAll() order.
-void outChanEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<OutChanEdgeCtx*>(vctx);
-  const bool transferred =
-      c->handshake
-          ? (sim::opBit(w, c->outVal) && sim::opBit(w, c->blocks.outAck))
-          : sim::opBit(w, c->outVal);
-  if (transferred) ++*c->flitsSent;
-  outChanBlocksEdge(w, &c->blocks);
-}
-
 }  // namespace
+
+struct OutputChannel::EdgeCtx {
+  OutputChannel* ch = nullptr;
+  CreditOfc* credit = nullptr;  // null under handshake flow control
+  sim::Slice outVal, outAck, rokSel, xRd;
+  std::uint32_t outWord = 0;
+  sim::Slice req[kNumPorts];
+};
+
+// Samples the same nets as WireSample from the settled arena.
+struct OutputChannel::ArenaSample {
+  const std::uint64_t* w;
+  const EdgeCtx* c;
+
+  bool val() const { return sim::opBit(w, c->outVal); }
+  bool ack() const { return sim::opBit(w, c->outAck); }
+  bool req(int i) const { return sim::opBit(w, c->req[i]); }
+};
+
+// The channel's edge, then the OC's and the OFC's, in clockEdgeAll() order.
+void OutputChannel::edgeOp(std::uint64_t* w, void* vctx) {
+  const auto* c = static_cast<const EdgeCtx*>(vctx);
+  const ArenaSample s{w, c};
+  c->ch->commitEdge(s);
+  bool req[kNumPorts];
+  for (int i = 0; i < kNumPorts; ++i) req[i] = s.req(i);
+  const bool rokSel = sim::opBit(w, c->rokSel);
+  c->ch->oc_.edgeStep(req, sim::opFlitEop(w, c->outWord), rokSel,
+                      sim::opBit(w, c->xRd));
+  if (c->credit) c->credit->creditEdge(rokSel, s.ack());
+}
 
 bool OutputChannel::describe(sim::Lowering& lw) {
   const bool handshake = flowControl_ == FlowControl::Handshake;
@@ -255,29 +265,19 @@ bool OutputChannel::describe(sim::Lowering& lw) {
     lw.op(&outChanFlowCredit, lw.ctx(flow), {&rokSel_}, std::move(rdWrites));
   }
 
-  OutChanBlocksEdgeCtx blocks;
-  blocks.oc = &oc_;
-  blocks.credit = creditOfc_.get();
-  blocks.rokSel = pub.rokSel;
-  blocks.xRd = lw.bit(xRd_);
-  blocks.outAck = lw.bit(out_->ack);
-  blocks.outWord = pub.outWord;
+  EdgeCtx edge;
+  edge.ch = this;
+  edge.credit = creditOfc_.get();
+  edge.outVal = pub.outVal;
+  edge.outAck = lw.bit(out_->ack);
+  edge.rokSel = pub.rokSel;
+  edge.xRd = lw.bit(xRd_);
+  edge.outWord = pub.outWord;
   for (int i = 0; i < kNumPorts; ++i) {
     CrossbarWires& x = (*xbar_)[static_cast<std::size_t>(i)];
-    blocks.req[i] = lw.bit(x.req[static_cast<std::size_t>(own)]);
+    edge.req[i] = lw.bit(x.req[static_cast<std::size_t>(own)]);
   }
-
-  if (metricsAttached_) {
-    lw.edgeCall(*this);  // sent counter + metrics via clockEdge()
-    lw.edgeOp(&outChanBlocksEdge, lw.ctx(blocks));
-  } else {
-    OutChanEdgeCtx edge;
-    edge.blocks = blocks;
-    edge.handshake = handshake;
-    edge.outVal = pub.outVal;
-    edge.flitsSent = &flitsSent_;
-    lw.edgeOp(&outChanEdge, lw.ctx(edge));
-  }
+  lw.edgeOp(&edgeOp, lw.ctx(edge));
   return true;
 }
 
@@ -320,7 +320,7 @@ void VcOutputChannel::attachMetrics(const VcOutputChannelMetrics& metrics) {
   metricsAttached_ = true;
   // The edge op reads the metrics through the channel, so the program
   // stays valid; the notification keeps the contract every channel's
-  // attachMetrics shares (the single-VC lowering does fork on metrics).
+  // attachMetrics shares (a lowering may depend on attached state).
   noteDescribeChanged();
 }
 

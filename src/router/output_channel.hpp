@@ -66,13 +66,26 @@ class OutputChannel : public sim::Module {
 
   /// Compiled-kernel lowering: replaces the OC/ODS/ORS/OFC subtree with two
   /// fused arena ops (grant publish + output mux, flow-control response) and
-  /// a fused edge op (router/output_channel.cpp).
+  /// one edge op that runs commitEdge() and then the OC and OFC steps
+  /// (router/output_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void clockEdge() override;
 
  private:
+  // The channel's own clock edge — sent counting and metrics — as one body
+  // for every kernel (the arbitration and credit steps are the OC and OFC
+  // children's edges).  `S` samples the settled pre-edge nets: WireSample
+  // through Wire::get() (clockEdge()), ArenaSample from the compiled edge
+  // op's slices.  Both provide val(), ack() and, per input port, req(i).
+  template <typename S>
+  void commitEdge(const S& s);
+  struct WireSample;
+  struct EdgeCtx;
+  struct ArenaSample;
+  static void edgeOp(std::uint64_t* words, void* ctx);
+
   Port ownPort_;
 
   // Internal nets.
@@ -88,12 +101,13 @@ class OutputChannel : public sim::Module {
   std::unique_ptr<Ofc> handshakeOfc_;
   std::unique_ptr<CreditOfc> creditOfc_;
 
+  // Side by side: the edge reads all three every cycle.
   std::uint64_t flitsSent_ = 0;
-  const ChannelWires* out_;
   FlowControl flowControl_;
+  bool metricsAttached_ = false;
+  const ChannelWires* out_;
   std::array<CrossbarWires, kNumPorts>* xbar_;
   OutputChannelMetrics metrics_;
-  bool metricsAttached_ = false;
 };
 
 /// Per-VC instrumentation for the VC'd output channel (telemetry subsystem).

@@ -63,14 +63,23 @@ class Gauge {
   std::uint64_t count_ = 0;
 };
 
-// Integer histogram: one unit-width bucket per value (`bucketCounts()[v]`
-// counts the samples equal to v), grown to the largest value seen, plus
+// Integer histogram: one unit-width bucket per value below kExactLimit
+// (`bucketCounts()[v]` counts the samples equal to v), grown to the largest
+// such value seen, plus a log-linear tail for larger values and exact
 // count, sum, min and max.  Every series the simulator records is a whole
-// number - latencies in cycles, hop counts, occupancies in flits - so the
-// mean, min, max and nearest-rank percentiles are exact, and memory is
-// bounded by the largest value rather than by the number of samples.
+// number - latencies in cycles, hop counts, occupancies in flits - so below
+// the limit the mean, min, max and nearest-rank percentiles are exact and
+// memory is bounded by the largest value rather than by the number of
+// samples.  The tail bounds memory for any value: one wrapped or garbage
+// sample costs a bucket, not a resize to its value.
 class Histogram {
  public:
+  static constexpr std::uint64_t kExactLimit = std::uint64_t{1} << 16;
+  // Tail resolution: 2^kTailSubBits buckets per power of two above the
+  // limit, so a tail bucket spans at most 1/64 of its values.
+  static constexpr int kTailSubBits = 6;
+  static constexpr std::size_t kMaxTailBuckets = (64 - 16) << kTailSubBits;
+
   void observe(std::uint64_t v);
 
   std::uint64_t count() const { return count_; }
@@ -81,16 +90,21 @@ class Histogram {
   }
   // min() and max() are 0 when empty.
   double min() const { return static_cast<double>(min_); }
-  double max() const {
-    return static_cast<double>(counts_.empty() ? 0 : counts_.size() - 1);
-  }
+  double max() const { return static_cast<double>(max_); }
   // Nearest rank: the smallest value v with ceil(q * count()) samples <= v
-  // (the minimum at q = 0).  Throws std::invalid_argument outside [0,1];
-  // 0 when empty.
+  // (the minimum at q = 0).  Exact below kExactLimit; a rank in the tail
+  // reads its bucket's upper bound, capped at max().  Throws
+  // std::invalid_argument outside [0,1]; 0 when empty.
   double percentile(double q) const;
 
-  // size() == max() + 1 once a sample is recorded, empty before.
+  // The unit buckets: size() == largest value below kExactLimit + 1 once
+  // such a sample is recorded, empty before.
   const std::vector<std::uint64_t>& bucketCounts() const { return counts_; }
+  // The tail: tailCounts()[i] counts the samples in [tailLowerBound(i),
+  // tailUpperBound(i)]; at most kMaxTailBuckets long.
+  const std::vector<std::uint64_t>& tailCounts() const { return tail_; }
+  static std::uint64_t tailLowerBound(std::size_t i);
+  static std::uint64_t tailUpperBound(std::size_t i);
 
   // Text histogram: `bins` equal-width buckets between min and max, one
   // line each, bar lengths normalized to `barWidth` characters.
@@ -98,9 +112,11 @@ class Histogram {
 
  private:
   std::vector<std::uint64_t> counts_;
+  std::vector<std::uint64_t> tail_;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;
+  std::uint64_t max_ = 0;
 };
 
 // Name-keyed collection of the three metric kinds.  Accessors create the

@@ -146,11 +146,19 @@ std::string RunReport::toJson() const {
                              ", \"mean\": " + formatNumber(hist.mean()) +
                              ", \"buckets\": [";
       const auto& counts = hist.bucketCounts();
-      for (std::size_t v = 0; v < counts.size(); ++v) {
-        if (v) rendered += ", ";
-        rendered += "{\"le\": " + std::to_string(v) +
-                    ", \"count\": " + std::to_string(counts[v]) + "}";
-      }
+      bool firstBucket = true;
+      auto bucket = [&](std::uint64_t le, std::uint64_t count) {
+        if (!firstBucket) rendered += ", ";
+        firstBucket = false;
+        rendered += "{\"le\": " + std::to_string(le) +
+                    ", \"count\": " + std::to_string(count) + "}";
+      };
+      for (std::size_t v = 0; v < counts.size(); ++v) bucket(v, counts[v]);
+      // Above the unit buckets, the occupied log-linear tail buckets only.
+      const auto& tail = hist.tailCounts();
+      for (std::size_t i = 0; i < tail.size(); ++i)
+        if (tail[i] != 0)
+          bucket(Histogram::tailUpperBound(i), tail[i]);
       rendered += "]}";
       appendValue(out, name, rendered, first, 6);
     }

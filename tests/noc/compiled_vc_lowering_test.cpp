@@ -10,6 +10,9 @@
 //     (the NIs and traffic generators; no router channel).  Each
 //     configuration also runs against an event-driven twin, so a lowering
 //     that levelizes but computes the wrong function fails here too.
+//     The gate extends to the fault workload: an 8x8 torus with HLP
+//     parity, reliable transport, a fault campaign, telemetry and the flow
+//     tracer lowers to the same shape, every FaultyLink included.
 //  2. Telemetry after the first settle — attaching VC channel metrics must
 //     invalidate the compiled program (Module::noteDescribeChanged), and
 //     the counters of a run whose telemetry was enabled after cycle 0 must
@@ -21,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "noc/fault.hpp"
+#include "noc/flow_trace.hpp"
 #include "noc/network.hpp"
 #include "noc/topology.hpp"
 #include "router/params.hpp"
@@ -127,6 +132,83 @@ TEST(CompiledVcLoweringTest, FaultFreeNetworksLevelizeToOneLinearTape) {
     EXPECT_DOUBLE_EQ(compiled->meanLinkUtilization(),
                      reference->meanLinkUtilization());
   }
+}
+
+// The traced fault workload: 8x8 torus, HLP parity, reliable transport, a
+// campaign of corruption, stall and outage windows on every link, telemetry
+// and the flow tracer.
+std::unique_ptr<Network> buildFaultTorus(
+    Simulator::Kernel kernel, telemetry::MetricsRegistry& registry) {
+  const auto topo = makeTopology("torus", 8, 8);
+  NetworkConfig cfg;
+  cfg.params.n = 16;
+  cfg.params.p = 4;
+  cfg.kernel = kernel;
+  cfg.hlpParity = true;
+  cfg.reliability.enabled = true;
+  cfg.reliability.seqBits = 6;
+  cfg.reliability.window = 8;
+  cfg.reliability.rtoInitial = 128;
+  cfg.reliability.rtoMax = 2048;
+  cfg.reliability.nackMinInterval = 16;
+  CampaignConfig campaign;
+  campaign.horizon = 600;
+  campaign.corruptRate = 0.005;
+  campaign.corruptLinkFraction = 1.0;
+  campaign.stallEvents = 24;
+  campaign.dropEvents = 6;
+  campaign.minDuration = 8;
+  campaign.maxDuration = 32;
+  campaign.seed = 0x7075;
+  cfg.faultPlan = makeFaultPlan(*topo, campaign);
+  auto net = std::make_unique<Network>(topo, cfg);
+  TrafficConfig traffic;
+  traffic.offeredLoad = 0.06;
+  traffic.payloadFlits = 6;
+  traffic.seed = 74;
+  net->attachTraffic(traffic);
+  net->enableTelemetry(registry);
+  net->enableTracing();
+  return net;
+}
+
+TEST(CompiledVcLoweringTest, TracedFaultTorusLowersWithoutThunks) {
+  telemetry::MetricsRegistry compiledMetrics;
+  telemetry::MetricsRegistry referenceMetrics;
+  auto compiled = buildFaultTorus(Simulator::Kernel::Compiled,
+                                  compiledMetrics);
+  auto reference = buildFaultTorus(Simulator::Kernel::EventDriven,
+                                   referenceMetrics);
+  compiled->run(600);
+  reference->run(600);
+
+  const sim::CompiledProgram* prog = compiled->simulator().compiledProgram();
+  ASSERT_NE(prog, nullptr);
+  EXPECT_EQ(prog->thunkCount(), 0u);
+  EXPECT_EQ(prog->iterateSegmentCount(), 0u);
+  EXPECT_EQ(prog->opCount(), prog->unitCount());
+  // Channel and fault-link edges are edge ops with telemetry attached; one
+  // clockEdge() call per NI and per generator (one flow) remains.
+  const auto nodes = static_cast<std::size_t>(compiled->topology().nodes());
+  const std::size_t flows = 1;
+  EXPECT_EQ(prog->edgeCallCount(), nodes + flows * nodes);
+
+  EXPECT_GT(reference->flitsCorrupted(), 0u);
+  EXPECT_GT(reference->faultStallCycles(), 0u);
+  EXPECT_EQ(compiled->flitsCorrupted(), reference->flitsCorrupted());
+  EXPECT_EQ(compiled->flitsDropped(), reference->flitsDropped());
+  EXPECT_EQ(compiled->faultStallCycles(), reference->faultStallCycles());
+  EXPECT_EQ(compiled->ledger().delivered(), reference->ledger().delivered());
+  EXPECT_EQ(compiled->reliabilityStats().retransmissions,
+            reference->reliabilityStats().retransmissions);
+  ASSERT_EQ(compiledMetrics.counters().size(),
+            referenceMetrics.counters().size());
+  for (const auto& [name, counter] : referenceMetrics.counters())
+    EXPECT_EQ(compiledMetrics.counterValue(name, ~0ull), counter.value())
+        << name;
+  EXPECT_GT(reference->tracer()->packetsCompleted(), 0u);
+  EXPECT_EQ(compiled->tracer()->perfettoJson(),
+            reference->tracer()->perfettoJson());
 }
 
 // Counts describeChanged() notifications from modules bound to it.

@@ -14,8 +14,9 @@
 //     same delivery count under every kernel.
 //  4. A fault campaign (background corruption + scheduled stall/outage
 //     windows) must produce identical recovery behaviour under the
-//     compiled kernel, whose fault links run as behavioural thunks inside
-//     iterated segments.
+//     compiled kernel, whose fault links lower to fault-aware copy ops and
+//     an edge op (no thunk, no iterated segment) - at one VC and at two,
+//     and under credit flow control with corruption-only windows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -278,18 +279,23 @@ TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
 
 // --- fault-campaign agreement ----------------------------------------------
 
-TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsEventDriven) {
-  // Under a fault campaign every link is a FaultyLink, so the compiled
-  // program is mostly behavioural thunks handshaking with lowered channel
-  // ops - the configuration that exercises iterated (cyclic) segments and
-  // the thunk pre-flush path hardest.
+struct FaultShape {
+  int numVCs = 1;
+  router::FlowControl flowControl = router::FlowControl::Handshake;
+  // Stall and outage windows need handshake flow control at one VC (the
+  // credit-based ack wire carries credit returns), so credit shapes run
+  // corruption only.
+  bool windows = true;
+};
+
+void runFaultCampaignLockstep(const FaultShape& shape) {
   const auto topo = makeTopology("mesh", 4, 4);
   CampaignConfig campaign;
   campaign.horizon = 1500;
   campaign.corruptRate = 0.02;
   campaign.corruptLinkFraction = 0.5;
-  campaign.stallEvents = 2;
-  campaign.dropEvents = 2;
+  campaign.stallEvents = shape.windows ? 2 : 0;
+  campaign.dropEvents = shape.windows ? 2 : 0;
   campaign.minDuration = 16;
   campaign.maxDuration = 48;
   campaign.seed = 0xc0ffee;
@@ -306,6 +312,8 @@ TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsEventDriven) {
     NetworkConfig cfg;
     cfg.params.n = 16;
     cfg.params.p = 4;
+    cfg.params.numVCs = shape.numVCs;
+    cfg.params.flowControl = shape.flowControl;
     cfg.kernel = kernel;
     cfg.reliability = reliability;
     cfg.faultPlan = makeFaultPlan(*topo, campaign);
@@ -332,19 +340,43 @@ TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsEventDriven) {
     ASSERT_EQ(ref.faultStallCycles(), compiled.faultStallCycles())
         << "cycle " << c;
   }
-  EXPECT_GT(ref.flitsCorrupted() + ref.flitsDropped() + ref.faultStallCycles(),
-            0u)
-      << "the campaign must actually have perturbed the run";
+  EXPECT_GT(ref.flitsCorrupted(), 0u)
+      << "the campaign must actually have corrupted flits";
+  if (shape.windows) {
+    EXPECT_GT(ref.faultStallCycles(), 0u)
+        << "the windows must actually have stalled a link";
+  }
+  const ReliabilityStats refStats = ref.reliabilityStats();
+  const ReliabilityStats compiledStats = compiled.reliabilityStats();
+  EXPECT_EQ(refStats.retransmissions, compiledStats.retransmissions);
+  EXPECT_EQ(refStats.timeouts, compiledStats.timeouts);
+  EXPECT_EQ(refStats.nacksSent, compiledStats.nacksSent);
   for (int i = 0; i < topo->nodes(); ++i) {
     const NodeId n = topo->nodeAt(i);
     ASSERT_EQ(ref.ni(n).received(), compiled.ni(n).received())
         << "node " << i;
   }
-  // The stalled handshakes must have been settled through iterated
-  // segments, proving the cyclic path is actually exercised.
+  // Fault links lower like plain ones: the settle is one linear op tape,
+  // and only the NIs and the generators keep a clockEdge() call.
   const sim::CompiledProgram* prog = compiled.simulator().compiledProgram();
   ASSERT_NE(prog, nullptr);
-  EXPECT_GT(prog->iterateSegmentCount(), 0u);
+  EXPECT_EQ(prog->iterateSegmentCount(), 0u);
+  EXPECT_EQ(prog->thunkCount(), 0u);
+  EXPECT_EQ(prog->edgeCallCount(),
+            2 * static_cast<std::size_t>(topo->nodes()));
+}
+
+TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsEventDriven) {
+  runFaultCampaignLockstep({});
+}
+
+TEST(KernelTrichotomyTest, FaultCampaignLockstepAtTwoVCs) {
+  runFaultCampaignLockstep({.numVCs = 2});
+}
+
+TEST(KernelTrichotomyTest, CreditFlowControlCorruptionLockstep) {
+  runFaultCampaignLockstep(
+      {.flowControl = router::FlowControl::CreditBased, .windows = false});
 }
 
 // --- drain agreement -------------------------------------------------------

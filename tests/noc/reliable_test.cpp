@@ -5,6 +5,7 @@
 // two transports, optionally dropping or corrupting them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -60,18 +61,22 @@ TEST(ReliabilityConfigTest, ValidateRejectsInconsistentKnobs) {
   EXPECT_THROW(c.validate(kPayloadBits), std::invalid_argument);
 }
 
-// In-memory wire between two transports on a 2x1 mesh.  Frames cross with
-// a fixed latency; `filter` may mutate the words in flight or return false
-// to drop the message entirely.  onFrameSent fires at the cycle the frame
-// is handed to the wire, mirroring the NI's last-flit-out arming point.
+// In-memory wire between transports on an Nx1 mesh (two by default).
+// Frames cross with a fixed latency; `filter` may mutate the words in
+// flight or return false to drop the message entirely.  onFrameSent fires
+// at the cycle the frame is handed to the wire, mirroring the NI's
+// last-flit-out arming point.
 class Harness {
  public:
   // (sender index, wire words incl. leading source index) -> keep?
   using Filter = std::function<bool(int, std::vector<std::uint32_t>&)>;
 
-  explicit Harness(const ReliabilityConfig& config, std::uint64_t latency = 4)
-      : topology_(makeTopology("mesh", 2, 1)), latency_(latency) {
-    for (int i = 0; i < 2; ++i) {
+  explicit Harness(const ReliabilityConfig& config, std::uint64_t latency = 4,
+                   int nodes = 2)
+      : topology_(makeTopology("mesh", nodes, 1)),
+        latency_(latency),
+        delivered_(static_cast<std::size_t>(nodes)) {
+    for (int i = 0; i < nodes; ++i) {
       transports_.push_back(std::make_unique<ReliableTransport>(
           config, topology_, topology_->nodeAt(i), kPayloadBits));
       transports_.back()->reset();
@@ -87,8 +92,10 @@ class Harness {
     return delivered_[i];
   }
 
+  int nodes() const { return topology_->nodes(); }
+
   void step() {
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < nodes(); ++i) {
       for (auto& frame : transports_[i]->takeFrames()) {
         if (frame.frameId != 0)
           transports_[i]->onFrameSent(frame.frameId, cycle_);
@@ -108,7 +115,7 @@ class Harness {
         ++it;
       }
     }
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < nodes(); ++i) {
       transports_[i]->onCycle(cycle_);
       for (auto& d : transports_[i]->takeDeliveries())
         delivered_[i].push_back(std::move(d.payload));
@@ -124,10 +131,16 @@ class Harness {
   // delivered); returns false if `cap` cycles pass first.
   bool runUntilIdle(int cap) {
     for (int i = 0; i < cap; ++i) {
-      if (at(0).idle() && at(1).idle() && inFlight_.empty()) return true;
+      if (idle()) return true;
       step();
     }
-    return at(0).idle() && at(1).idle() && inFlight_.empty();
+    return idle();
+  }
+
+  bool idle() {
+    for (int i = 0; i < nodes(); ++i)
+      if (!at(i).idle()) return false;
+    return inFlight_.empty();
   }
 
  private:
@@ -141,7 +154,7 @@ class Harness {
   std::uint64_t latency_;
   std::vector<std::unique_ptr<ReliableTransport>> transports_;
   std::deque<Message> inFlight_;
-  std::vector<std::vector<std::uint32_t>> delivered_[2];
+  std::vector<std::vector<std::vector<std::uint32_t>>> delivered_;
   Filter filter_;
   std::uint64_t cycle_ = 0;
 };
@@ -322,6 +335,97 @@ TEST(ReliableTransportTest, BidirectionalTrafficKeepsFlowsIndependent) {
   for (int i = 0; i < kFrames; ++i) {
     EXPECT_EQ(h.deliveredAt(1)[i][0], static_cast<std::uint32_t>(0x300 + i));
     EXPECT_EQ(h.deliveredAt(0)[i][0], static_cast<std::uint32_t>(0x400 + i));
+  }
+}
+
+TEST(ReliableTransportTest, RunningTotalsMatchAWalkOfTheFlows) {
+  // unackedFrames()/backlogFrames() are running totals; the per-destination
+  // overloads walk one flow each.  Every cycle of a run through timeouts,
+  // maxRetries abandonment, ACKs, a NACK and a reset, the totals must
+  // equal the sum of the walk.
+  ReliabilityConfig c = makeConfig(6, /*window=*/2);
+  c.rtoInitial = 16;
+  c.rtoMax = 64;
+  c.maxRetries = 2;
+  Harness h(c, /*latency=*/4, /*nodes=*/4);
+  bool blackhole = false;
+  bool dropSeq1 = false;
+  h.setFilter([&](int sender, std::vector<std::uint32_t>& words) {
+    if (blackhole) return false;
+    const std::uint32_t control = words[1];
+    const bool data = (control >> (kPayloadBits - 2)) == 0;
+    if (dropSeq1 && sender == 1 && data && (control & 0x3fu) == 1) {
+      dropSeq1 = false;  // lose the first copy only: the gap draws a NACK
+      return false;
+    }
+    return true;
+  });
+  std::size_t peakBacklog = 0;
+  auto check = [&] {
+    for (int i = 0; i < h.nodes(); ++i) {
+      std::size_t unacked = 0;
+      std::size_t backlog = 0;
+      for (int d = 0; d < h.nodes(); ++d) {
+        unacked += h.at(i).unackedFrames(h.node(d));
+        backlog += h.at(i).backlogFrames(h.node(d));
+      }
+      ASSERT_EQ(h.at(i).unackedFrames(), unacked)
+          << "node " << i << " cycle " << h.cycle();
+      ASSERT_EQ(h.at(i).backlogFrames(), backlog)
+          << "node " << i << " cycle " << h.cycle();
+      peakBacklog = std::max(peakBacklog, backlog);
+    }
+  };
+  auto runChecked = [&](int cycles) {
+    for (int k = 0; k < cycles; ++k) {
+      h.step();
+      check();
+    }
+  };
+  auto submit = [&](int src, int dst, int count) {
+    for (int k = 0; k < count; ++k)
+      h.at(src).submit(h.node(dst), {static_cast<std::uint32_t>(k)});
+    check();
+  };
+
+  // Timeouts and abandonment: nothing crosses the wire, each frame times
+  // out three times, and every abandonment promotes the backlog.
+  blackhole = true;
+  submit(0, 1, 5);
+  submit(0, 2, 3);
+  submit(0, 3, 1);
+  submit(3, 0, 4);
+  runChecked(400);
+  EXPECT_GT(h.at(0).stats().abandoned, 0u);
+  EXPECT_GT(h.at(3).stats().timeouts, 0u);
+  EXPECT_GT(peakBacklog, 0u);
+
+  // ACKs drain what is left.
+  blackhole = false;
+  submit(2, 1, 6);
+  for (int k = 0; k < 5000 && !h.idle(); ++k) runChecked(1);
+  ASSERT_TRUE(h.idle());
+  EXPECT_GT(h.at(2).stats().acksReceived, 0u);
+
+  // A lost first copy opens a gap; the receiver NACKs it.
+  dropSeq1 = true;
+  submit(1, 3, 4);
+  for (int k = 0; k < 5000 && !h.idle(); ++k) runChecked(1);
+  ASSERT_TRUE(h.idle());
+  EXPECT_GT(h.at(1).stats().nacksReceived, 0u);
+
+  // Reset forgets every flow.
+  blackhole = true;
+  submit(0, 2, 4);
+  submit(1, 0, 3);
+  runChecked(40);
+  EXPECT_GT(h.at(0).unackedFrames() + h.at(0).backlogFrames(), 0u);
+  for (int i = 0; i < h.nodes(); ++i) h.at(i).reset();
+  check();
+  for (int i = 0; i < h.nodes(); ++i) {
+    EXPECT_EQ(h.at(i).unackedFrames(), 0u);
+    EXPECT_EQ(h.at(i).backlogFrames(), 0u);
+    EXPECT_TRUE(h.at(i).idle());
   }
 }
 

@@ -113,6 +113,46 @@ TEST(DeliveryLedgerTest, DiscardOpenDropsOpenPacketsFromTheCounts) {
   EXPECT_DOUBLE_EQ(ledger.packetLatency().max(), 6.0);
 }
 
+TEST(DeliveryLedgerTest, ClosedFlowsLeaveNoEntryBehind) {
+  // Uniform traffic opens a new (src, dst, class) flow with almost every
+  // packet; a flow whose packets all closed must not keep its entry.
+  DeliveryLedger ledger;
+  for (int x = 0; x < 16; ++x) {
+    for (int y = 0; y < 16; ++y) {
+      for (int cls : {-1, 1}) {
+        const NodeId src{x, 0}, dst{y, 1};
+        for (int k = 0; k < 2; ++k) {
+          PacketRecord r;
+          r.src = src;
+          r.dst = dst;
+          r.flits = 3;
+          r.trafficClass = cls;
+          ledger.onQueued(r);
+        }
+        ledger.onHeaderInjected(src, dst, 1, cls);
+        ledger.onDelivered(src, dst, 5, cls);
+        EXPECT_EQ(ledger.openFlows(), 1u) << "one packet is still open";
+        ledger.onHeaderInjected(src, dst, 2, cls);
+        EXPECT_TRUE(ledger.tryDeliver(src, dst, 6, cls));
+        EXPECT_EQ(ledger.openFlows(), 0u);
+      }
+    }
+  }
+  EXPECT_EQ(ledger.delivered(), 2u * 16 * 16 * 2);
+  EXPECT_EQ(ledger.inFlight(), 0u);
+  EXPECT_EQ(ledger.openFlows(), 0u);
+  // A closed flow reopens cleanly.
+  PacketRecord again;
+  again.src = NodeId{3, 0};
+  again.dst = NodeId{4, 1};
+  again.flits = 1;
+  ledger.onQueued(again);
+  EXPECT_EQ(ledger.openFlows(), 1u);
+  ledger.onHeaderInjected(again.src, again.dst, 10);
+  ledger.onDelivered(again.src, again.dst, 12);
+  EXPECT_EQ(ledger.openFlows(), 0u);
+}
+
 TEST(DeliveryLedgerTest, ThroughputAccounting) {
   DeliveryLedger ledger;
   const NodeId a{0, 0}, b{1, 0};

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "router/faulty_link.hpp"
+#include "sim/compile.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace rasoc::router {
@@ -147,6 +149,121 @@ TEST(FaultyLinkUnitTest, ResetRestoresDeterministicSequence) {
   rig.sim.reset();
   const auto second = corrupt(rig, 30);
   EXPECT_EQ(first, second);
+}
+
+// One bare FaultyLink per settle kernel, its input wires driven at random
+// and its fault windows covering every kind (and a StuckAck inside a
+// LinkDown), so every branch of the lowered ops meets the behavioural
+// evaluate() and clockEdge() on the same inputs.
+struct KernelTwin {
+  KernelTwin(sim::Simulator::Kernel kernel, FlowControl flowControl,
+             int numVCs, const std::vector<FaultWindow>& windows)
+      : link("flink", src, dst, 16, 0.05, 91, flowControl, numVCs) {
+    link.setWindows(windows);
+    sim.setKernel(kernel);
+    sim.add(link);
+    sim.reset();
+  }
+
+  ChannelWires src, dst;
+  FaultyLink link;
+  sim::Simulator sim;
+};
+
+void expectCompiledMatchesNaive(FlowControl flowControl, int numVCs,
+                                const std::vector<FaultWindow>& windows) {
+  KernelTwin naive(sim::Simulator::Kernel::Naive, flowControl, numVCs,
+                   windows);
+  KernelTwin compiled(sim::Simulator::Kernel::Compiled, flowControl, numVCs,
+                      windows);
+  sim::Xoshiro256 rng(5);
+  for (int cycle = 0; cycle < 400; ++cycle) {
+    const auto data = static_cast<std::uint32_t>(rng.below(1u << 16));
+    const bool bop = rng.chance(0.25);
+    const bool eop = !bop && rng.chance(0.25);
+    const bool val = rng.chance(0.7);
+    const bool ack = rng.chance(0.6);
+    const int vc = static_cast<int>(rng.below(2));
+    std::array<bool, 2> free{rng.chance(0.7), rng.chance(0.7)};
+    std::array<bool, 2> credit{rng.chance(0.3), rng.chance(0.3)};
+    for (KernelTwin* t : {&naive, &compiled}) {
+      t->src.flit.data.force(data);
+      t->src.flit.bop.force(bop);
+      t->src.flit.eop.force(eop);
+      t->src.val.force(val);
+      if (numVCs == 1) {
+        t->dst.ack.force(ack);
+      } else {
+        t->src.vc.force(vc);
+        for (std::size_t v = 0; v < 2; ++v) {
+          t->dst.vcFree[v].force(free[v]);
+          t->dst.vcAck[v].force(credit[v]);
+        }
+      }
+      t->sim.settle();
+    }
+    ASSERT_EQ(naive.dst.flit.data.get(), compiled.dst.flit.data.get())
+        << "cycle " << cycle;
+    ASSERT_EQ(naive.dst.flit.bop.get(), compiled.dst.flit.bop.get());
+    ASSERT_EQ(naive.dst.flit.eop.get(), compiled.dst.flit.eop.get());
+    ASSERT_EQ(naive.dst.val.get(), compiled.dst.val.get()) << cycle;
+    if (numVCs == 1) {
+      ASSERT_EQ(naive.src.ack.get(), compiled.src.ack.get()) << cycle;
+    } else {
+      ASSERT_EQ(naive.dst.vc.get(), compiled.dst.vc.get()) << cycle;
+      for (std::size_t v = 0; v < 2; ++v) {
+        ASSERT_EQ(naive.src.vcFree[v].get(), compiled.src.vcFree[v].get())
+            << cycle;
+        if (flowControl == FlowControl::CreditBased) {
+          ASSERT_EQ(naive.src.vcAck[v].get(), compiled.src.vcAck[v].get())
+              << cycle;
+        }
+      }
+    }
+    naive.sim.step();
+    compiled.sim.step();
+    ASSERT_EQ(naive.link.flitsTransferred(), compiled.link.flitsTransferred())
+        << cycle;
+    ASSERT_EQ(naive.link.flitsCorrupted(), compiled.link.flitsCorrupted());
+    ASSERT_EQ(naive.link.flitsDropped(), compiled.link.flitsDropped());
+    ASSERT_EQ(naive.link.stallCycles(), compiled.link.stallCycles());
+  }
+  EXPECT_GT(compiled.link.flitsCorrupted(), 0u);
+  if (windows.size() > 1) {
+    EXPECT_GT(compiled.link.stallCycles(), 0u);
+    // Only a single-VC LinkDown window consumes body flits.
+    if (numVCs == 1) {
+      EXPECT_GT(compiled.link.flitsDropped(), 0u);
+    }
+  }
+  const sim::CompiledProgram* prog = compiled.sim.compiledProgram();
+  ASSERT_NE(prog, nullptr);
+  EXPECT_EQ(prog->thunkCount(), 0u);
+  EXPECT_EQ(prog->edgeCallCount(), 0u);
+}
+
+std::vector<FaultWindow> everyWindowKind() {
+  using Kind = FaultWindow::Kind;
+  return {{Kind::Corrupt, 0, 400, 0.3},
+          {Kind::StuckAck, 20, 40, 1.0},
+          {Kind::LinkDown, 100, 80, 1.0},
+          {Kind::StuckAck, 140, 20, 1.0}};
+}
+
+TEST(FaultyLinkUnitTest, CompiledOpsMatchTheBehaviouralLink) {
+  {
+    SCOPED_TRACE("handshake vc1");
+    expectCompiledMatchesNaive(FlowControl::Handshake, 1, everyWindowKind());
+  }
+  {
+    SCOPED_TRACE("credit vc1, corruption only");
+    expectCompiledMatchesNaive(FlowControl::CreditBased, 1,
+                               {everyWindowKind().front()});
+  }
+  for (FlowControl fc : {FlowControl::Handshake, FlowControl::CreditBased}) {
+    SCOPED_TRACE("vc2");
+    expectCompiledMatchesNaive(fc, 2, everyWindowKind());
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/compile.hpp"
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
 
@@ -419,6 +420,141 @@ TEST(EventDrivenKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
     ASSERT_EQ(naive.stage2.get(), event.stage2.get()) << "cycle " << cycleNo;
     ASSERT_EQ(naive.counterOut.get(), event.counterOut.get());
     ASSERT_EQ(naive.sim.cycle(), event.sim.cycle());
+  }
+}
+
+// --- compiled kernel: modules that do not describe themselves ------------
+
+// Sender half of a combinational handshake: offers while it holds flits
+// and, in the same settle, reports the transfer it sees acknowledged.  In
+// `withdraw` mode it drops the offer once acked (val = pending && !ack),
+// which with the Receiver closes a loop that never settles.
+class Sender : public Module {
+ public:
+  Sender(std::string name, const Wire<bool>& ack, Wire<bool>& val,
+         Wire<bool>& done, bool withdraw)
+      : Module(std::move(name)),
+        ack_(&ack),
+        val_(&val),
+        done_(&done),
+        withdraw_(withdraw) {
+    sensitive(ack);
+    declareSequential();
+  }
+
+  int sent() const { return sent_; }
+
+ protected:
+  void onReset() override {
+    pending_ = 3;
+    sent_ = 0;
+  }
+  void evaluate() override {
+    const bool offer = pending_ > 0 && !(withdraw_ && ack_->get());
+    val_->set(offer);
+    done_->set(offer && ack_->get());
+  }
+  void clockEdge() override {
+    if (val_->get() && ack_->get()) {
+      ++sent_;
+      if (--pending_ == 0) pending_ = 3;
+    }
+  }
+
+ private:
+  const Wire<bool>* ack_;
+  Wire<bool>* val_;
+  Wire<bool>* done_;
+  bool withdraw_;
+  int pending_ = 3;
+  int sent_ = 0;
+};
+
+// Receiver half: acknowledges an offer whenever its registered ready
+// pattern allows.
+class Receiver : public Module {
+ public:
+  Receiver(std::string name, const Wire<bool>& val, Wire<bool>& ack)
+      : Module(std::move(name)), val_(&val), ack_(&ack) {
+    sensitive(val);
+    declareSequential();
+  }
+
+  int received() const { return received_; }
+
+ protected:
+  void onReset() override {
+    phase_ = 0;
+    received_ = 0;
+  }
+  void evaluate() override { ack_->set(val_->get() && phase_ % 3 != 2); }
+  void clockEdge() override {
+    if (val_->get() && ack_->get()) ++received_;
+    ++phase_;
+  }
+
+ private:
+  const Wire<bool>* val_;
+  Wire<bool>* ack_;
+  int phase_ = 0;
+  int received_ = 0;
+};
+
+struct HandshakeRig {
+  Wire<bool> val, ack, done;
+  Sender sender;
+  Receiver receiver;
+  Simulator sim;
+  HandshakeRig(Simulator::Kernel kernel, bool withdraw)
+      : sender("sender", ack, val, done, withdraw),
+        receiver("receiver", val, ack) {
+    sim.setKernel(kernel);
+    sim.add(sender);
+    sim.add(receiver);
+  }
+};
+
+TEST(CompiledKernelTest, UndescribedHandshakeLoopSettlesLikeNaive) {
+  HandshakeRig naive(Simulator::Kernel::Naive, false);
+  HandshakeRig compiled(Simulator::Kernel::Compiled, false);
+  for (HandshakeRig* rig : {&naive, &compiled}) rig->sim.reset();
+  for (int cycleNo = 0; cycleNo < 60; ++cycleNo) {
+    naive.sim.settle();
+    compiled.sim.settle();
+    ASSERT_EQ(naive.val.get(), compiled.val.get()) << "cycle " << cycleNo;
+    ASSERT_EQ(naive.ack.get(), compiled.ack.get()) << "cycle " << cycleNo;
+    ASSERT_EQ(naive.done.get(), compiled.done.get()) << "cycle " << cycleNo;
+    naive.sim.step();
+    compiled.sim.step();
+    ASSERT_EQ(naive.sender.sent(), compiled.sender.sent());
+    ASSERT_EQ(naive.receiver.received(), compiled.receiver.received());
+  }
+  EXPECT_EQ(compiled.sender.sent(), 40) << "two of every three cycles ack";
+  // Neither module describes itself: two thunks in one iterate segment,
+  // and both clock edges stay behavioural calls.
+  const CompiledProgram* prog = compiled.sim.compiledProgram();
+  ASSERT_NE(prog, nullptr);
+  EXPECT_EQ(prog->thunkCount(), 2u);
+  EXPECT_EQ(prog->iterateSegmentCount(), 1u);
+  EXPECT_EQ(prog->edgeCallCount(), 2u);
+}
+
+TEST(CompiledKernelTest, UndescribedLoopThatNeverSettlesThrows) {
+  for (const auto kernel :
+       {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
+    SCOPED_TRACE(static_cast<int>(kernel));
+    HandshakeRig rig(kernel, /*withdraw=*/true);
+    try {
+      rig.sim.reset();  // resets, then settles
+      rig.sim.settle();
+      FAIL() << "an oscillating loop must not settle";
+    } catch (const std::runtime_error& e) {
+      if (kernel == Simulator::Kernel::Compiled) {
+        EXPECT_NE(std::string(e.what()).find("cyclic segment"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

@@ -168,6 +168,51 @@ TEST(HistogramTest, MemoryIsBoundedByTheLargestValue) {
   EXPECT_EQ(h.bucketCounts().size(), largest + 1);
 }
 
+TEST(HistogramTest, HugeValuesLandInABoundedTail) {
+  // One wrapped or garbage sample must cost a tail bucket, not a resize to
+  // its value.
+  Histogram h;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (std::uint64_t v : {std::uint64_t{7}, std::uint64_t{9}, huge})
+    EXPECT_NO_THROW(h.observe(v));
+  EXPECT_EQ(h.bucketCounts().size(), 10u);
+  EXPECT_LE(h.tailCounts().size(), Histogram::kMaxTailBuckets);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.sum(), huge + 16);
+  EXPECT_DOUBLE_EQ(h.min(), 7.0);
+  EXPECT_DOUBLE_EQ(h.max(), static_cast<double>(huge));
+  // Below the limit percentiles stay exact; the tail bucket reads its
+  // upper bound capped at the maximum.
+  EXPECT_DOUBLE_EQ(h.percentile(0.5), 9.0);
+  EXPECT_DOUBLE_EQ(h.percentile(1.0), static_cast<double>(huge));
+  // The largest representable value still fits the tail.
+  h.observe(~std::uint64_t{0});
+  EXPECT_EQ(h.tailCounts().size(), Histogram::kMaxTailBuckets);
+  EXPECT_EQ(Histogram::tailUpperBound(Histogram::kMaxTailBuckets - 1),
+            ~std::uint64_t{0});
+}
+
+TEST(HistogramTest, TailBucketsTileTheRangeAboveTheLimit) {
+  EXPECT_EQ(Histogram::tailLowerBound(0), Histogram::kExactLimit);
+  for (std::size_t i = 0; i + 1 < Histogram::kMaxTailBuckets; ++i) {
+    ASSERT_EQ(Histogram::tailUpperBound(i) + 1,
+              Histogram::tailLowerBound(i + 1))
+        << i;
+    // Each bucket spans at most 1/64 of its lower bound.
+    const std::uint64_t lo = Histogram::tailLowerBound(i);
+    ASSERT_LE(Histogram::tailUpperBound(i) - lo, lo >> 6) << i;
+  }
+  // Observing a bucket's bounds lands in that bucket.
+  for (std::size_t i : {std::size_t{0}, std::size_t{63}, std::size_t{64},
+                        std::size_t{1000}, Histogram::kMaxTailBuckets - 1}) {
+    Histogram h;
+    h.observe(Histogram::tailLowerBound(i));
+    h.observe(Histogram::tailUpperBound(i));
+    ASSERT_EQ(h.tailCounts().size(), i + 1);
+    EXPECT_EQ(h.tailCounts()[i], 2u);
+  }
+}
+
 TEST(HistogramTest, RendersBinsAndBars) {
   Histogram stats;
   for (int i = 0; i < 90; ++i) stats.observe(10);
