@@ -40,16 +40,12 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "noc/fault.hpp"
 #include "noc/network.hpp"
-#include "noc/observe.hpp"
-#include "noc/watchdog.hpp"
 #include "tech/report.hpp"
-#include "telemetry/trace_event.hpp"
 
 #include "sweep_flags.hpp"
 
@@ -70,10 +66,6 @@ std::vector<double> faultRates() {
 std::vector<double> loads() {
   if (gQuick) return {0.10};
   return {0.05, 0.15, 0.25};
-}
-
-std::shared_ptr<const noc::Topology> makeBenchTopology() {
-  return noc::makeTopology(gFlags.topology, 4, 4);
 }
 
 // Scales a scalar fault intensity into a full campaign: the intensity is
@@ -114,7 +106,7 @@ noc::NetworkConfig benchConfig(double intensity, bool reliable,
     cfg.reliability.nackMinInterval = 16;
   }
   if (intensity > 0.0)
-    cfg.faultPlan = noc::makeFaultPlan(*makeBenchTopology(),
+    cfg.faultPlan = noc::makeFaultPlan(*bench::makeBenchTopology(gFlags),
                                        campaignFor(intensity));
   return cfg;
 }
@@ -141,7 +133,7 @@ struct Cell {
 };
 
 Cell run(double intensity, double load, bool reliable, int vcs = 0) {
-  auto topology = makeBenchTopology();
+  auto topology = bench::makeBenchTopology(gFlags);
   noc::Network net(topology, benchConfig(intensity, reliable, vcs));
   net.attachTraffic(benchTraffic(load));
   const int cycles = measureCycles();
@@ -169,26 +161,9 @@ Cell run(double intensity, double load, bool reliable, int vcs = 0) {
   return cell;
 }
 
-std::string fmt(double v, const char* f = "%.4f") {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, f, v);
-  return buf;
-}
-
 std::string fmtU(std::uint64_t v) { return std::to_string(v); }
 
 // --- QoS-over-reliability experiment (--qos) --------------------------
-
-noc::FlowSpec qosFlow(router::TrafficClass cls, double load, int payload,
-                      std::uint64_t seed) {
-  noc::FlowSpec flow;
-  flow.trafficClass = cls;
-  flow.traffic.pattern = noc::TrafficPattern::UniformRandom;
-  flow.traffic.offeredLoad = load;
-  flow.traffic.payloadFlits = payload;
-  flow.traffic.seed = seed;
-  return flow;
-}
 
 // Bulk at 0.10: the class map confines Bulk to a single adaptive lane,
 // which saturates well before the whole-fabric knee — 0.10 keeps the
@@ -210,53 +185,48 @@ struct QosCell {
 };
 
 // One QoS-over-reliability cell.  With `reportJson` set the run is also
-// instrumented (telemetry and a watchdog) and its RunReport, with the
-// `qos` and `reliability` sections, is stored there.
+// instrumented (sweep_flags.hpp) and its RunReport, with the `qos` and
+// `reliability` sections, is stored there.
 QosCell runQosCell(double intensity, std::string* reportJson = nullptr) {
-  auto topology = makeBenchTopology();
   noc::NetworkConfig cfg = benchConfig(intensity, /*reliable=*/true, 4);
   cfg.params.qosClasses = true;
-  noc::Network net(topology, cfg);
-  telemetry::MetricsRegistry registry;
-  std::optional<noc::Watchdog> watchdog;
-  if (reportJson) {
-    net.enableTelemetry(registry);
-    watchdog.emplace("dog", net.ledger(), 500,
-                     [&net] { return net.blockedLinkNames(); },
-                     [&net] { return net.blockedLinkTraceDump(); });
-    net.simulator().add(*watchdog);
-  }
-  net.attachTraffic(std::vector<noc::FlowSpec>{
-      qosFlow(router::TrafficClass::Control, kQosControlLoad, 2, 99),
-      qosFlow(router::TrafficClass::Bulk, kQosBulkLoad, 6, 7)});
-  const int cycles = measureCycles();
-  net.run(static_cast<std::uint64_t>(cycles));
-  net.pauseTraffic(true);
   QosCell cell;
-  cell.drained = net.drain(static_cast<std::uint64_t>(cycles) * 20);
-  cell.ctrlQueued = net.ledger().queued(router::TrafficClass::Control);
-  cell.ctrlDelivered = net.ledger().delivered(router::TrafficClass::Control);
-  cell.bulkQueued = net.ledger().queued(router::TrafficClass::Bulk);
-  cell.bulkDelivered = net.ledger().delivered(router::TrafficClass::Bulk);
-  cell.ctrlP99 = net.ledger()
-                     .packetLatency(router::TrafficClass::Control)
-                     .percentile(0.99);
-  cell.ctrlNetP99 = net.ledger()
-                        .networkLatency(router::TrafficClass::Control)
-                        .percentile(0.99);
-  const noc::ReliabilityStats rs = net.reliabilityStats();
-  cell.retransmits = rs.retransmissions;
-  cell.timeouts = rs.timeouts;
-  if (reportJson) {
-    telemetry::RunReport report =
-        noc::buildRunReport("faultsweep.qos", net, &*watchdog);
-    report.set("run", "fault_intensity", intensity);
-    report.set("run", "control_load", kQosControlLoad);
-    report.set("run", "bulk_load", kQosBulkLoad);
-    report.set("run", "kernel", bench::kernelName(gFlags.kernel));
-    report.set("run", "seed", std::uint64_t{99});
-    *reportJson = report.toJson();
+  auto drive = [&cell](noc::Network& net) {
+    net.attachTraffic(std::vector<noc::FlowSpec>{
+        bench::qosFlow(router::TrafficClass::Control, kQosControlLoad, 2,
+                       99),
+        bench::qosFlow(router::TrafficClass::Bulk, kQosBulkLoad, 6, 7)});
+    const int cycles = measureCycles();
+    net.run(static_cast<std::uint64_t>(cycles));
+    net.pauseTraffic(true);
+    cell.drained = net.drain(static_cast<std::uint64_t>(cycles) * 20);
+    cell.ctrlQueued = net.ledger().queued(router::TrafficClass::Control);
+    cell.ctrlDelivered =
+        net.ledger().delivered(router::TrafficClass::Control);
+    cell.bulkQueued = net.ledger().queued(router::TrafficClass::Bulk);
+    cell.bulkDelivered = net.ledger().delivered(router::TrafficClass::Bulk);
+    cell.ctrlP99 = net.ledger()
+                       .packetLatency(router::TrafficClass::Control)
+                       .percentile(0.99);
+    cell.ctrlNetP99 = net.ledger()
+                          .networkLatency(router::TrafficClass::Control)
+                          .percentile(0.99);
+    const noc::ReliabilityStats rs = net.reliabilityStats();
+    cell.retransmits = rs.retransmissions;
+    cell.timeouts = rs.timeouts;
+  };
+  if (!reportJson) {
+    noc::Network net(bench::makeBenchTopology(gFlags), cfg);
+    drive(net);
+    return cell;
   }
+  *reportJson = bench::instrumentedReport(
+      gFlags, cfg, "faultsweep.qos", 99, drive,
+      [&](telemetry::RunReport& report) {
+        report.set("run", "fault_intensity", intensity);
+        report.set("run", "control_load", kQosControlLoad);
+        report.set("run", "bulk_load", kQosBulkLoad);
+      });
   return cell;
 }
 
@@ -267,7 +237,7 @@ int runQosSweep(const std::string& path) {
       "RASoC %s QoS-over-reliability sweep (16 nodes, n=16, 4 VCs, "
       "qosClasses, reliable transport, %d measured cycles + drain, %s "
       "kernel)\n\n",
-      makeBenchTopology()->describe().c_str(), measureCycles(),
+      bench::makeBenchTopology(gFlags)->describe().c_str(), measureCycles(),
       bench::kernelName(gFlags.kernel));
 
   int exitCode = 0;
@@ -280,10 +250,10 @@ int runQosSweep(const std::string& path) {
         rate, rate == faultRates().back() ? &reportJson : nullptr);
     const std::uint64_t ctrlLost = cell.ctrlQueued - cell.ctrlDelivered;
     const std::uint64_t bulkLost = cell.bulkQueued - cell.bulkDelivered;
-    table.addRow({fmt(rate, "%.3f"),
+    table.addRow({bench::fmt(rate, "%.3f"),
                   fmtU(cell.ctrlQueued) + "/" + fmtU(cell.ctrlDelivered),
-                  fmtU(ctrlLost), fmt(cell.ctrlP99, "%.1f"),
-                  fmt(cell.ctrlNetP99, "%.1f"),
+                  fmtU(ctrlLost), bench::fmt(cell.ctrlP99, "%.1f"),
+                  bench::fmt(cell.ctrlNetP99, "%.1f"),
                   fmtU(cell.bulkQueued) + "/" + fmtU(cell.bulkDelivered),
                   fmtU(bulkLost), fmtU(cell.retransmits),
                   fmtU(cell.timeouts), cell.drained ? "yes" : "NO"});
@@ -315,39 +285,23 @@ int runQosSweep(const std::string& path) {
 }
 
 std::string instrumentedReport(double intensity, double load, bool reliable,
-                               std::string* traceJson = nullptr,
-                               std::string* kernelJson = nullptr) {
-  auto topology = makeBenchTopology();
-  noc::Network net(topology, benchConfig(intensity, reliable));
-  telemetry::MetricsRegistry registry;
-  net.enableTelemetry(registry);
-  noc::FlowTracer* tracer = nullptr;
-  if (traceJson) {
-    noc::TraceConfig traceConfig;
-    traceConfig.sampleEvery = gFlags.traceSample;
-    tracer = &net.enableTracing(traceConfig);
-  }
-  noc::Watchdog watchdog("dog", net.ledger(), 500,
-                         [&net] { return net.blockedLinkNames(); },
-                         [&net] { return net.blockedLinkTraceDump(); });
-  net.simulator().add(watchdog);
-  net.attachTraffic(benchTraffic(load));
-  const int cycles = measureCycles();
-  net.run(static_cast<std::uint64_t>(cycles));
-  net.pauseTraffic(true);
-  net.drain(static_cast<std::uint64_t>(cycles) * 20);
-  if (tracer) {
-    *traceJson = tracer->perfettoJson();
-    if (kernelJson) *kernelJson = tracer->kernelProfileJson();
-  }
-  telemetry::RunReport report = noc::buildRunReport(
+                               bench::TraceArtifacts* trace = nullptr) {
+  return bench::instrumentedReport(
+      gFlags, benchConfig(intensity, reliable),
       std::string("faultsweep.") + (reliable ? "reliable" : "unprotected"),
-      net, &watchdog);
-  report.set("run", "fault_intensity", intensity);
-  report.set("run", "offered_load", load);
-  report.set("run", "kernel", bench::kernelName(gFlags.kernel));
-  report.set("run", "seed", std::uint64_t{99});
-  return report.toJson();
+      99,
+      [&](noc::Network& net) {
+        net.attachTraffic(benchTraffic(load));
+        const int cycles = measureCycles();
+        net.run(static_cast<std::uint64_t>(cycles));
+        net.pauseTraffic(true);
+        net.drain(static_cast<std::uint64_t>(cycles) * 20);
+      },
+      [&](telemetry::RunReport& report) {
+        report.set("run", "fault_intensity", intensity);
+        report.set("run", "offered_load", load);
+      },
+      trace);
 }
 
 }  // namespace
@@ -386,7 +340,7 @@ int main(int argc, char** argv) {
   std::printf(
       "RASoC %s fault sweep (16 nodes, n=16, 8-flit packets, %d measured "
       "cycles + drain, %s kernel)\n\n",
-      makeBenchTopology()->describe().c_str(), measureCycles(),
+      bench::makeBenchTopology(gFlags)->describe().c_str(), measureCycles(),
       bench::kernelName(gFlags.kernel));
 
   int exitCode = 0;
@@ -402,11 +356,11 @@ int main(int argc, char** argv) {
       if (rate == 0.0) baseline = cell.goodput;
       const double degradation =
           baseline > 0.0 ? (1.0 - cell.goodput / baseline) * 100.0 : 0.0;
-      table.addRow({fmt(rate, "%.3f"), fmtU(cell.queued),
+      table.addRow({bench::fmt(rate, "%.3f"), fmtU(cell.queued),
                     fmtU(cell.delivered), fmtU(cell.lost),
                     fmtU(cell.duplicates), fmtU(cell.retransmits),
-                    fmtU(cell.timeouts), fmt(cell.goodput),
-                    fmt(degradation, "%.1f")});
+                    fmtU(cell.timeouts), bench::fmt(cell.goodput, "%.4f"),
+                    bench::fmt(degradation, "%.1f")});
       if (cell.lost != 0 || !cell.drained) {
         std::printf("!! exactly-once violated at rate=%.3f load=%.2f\n",
                     rate, load);
@@ -425,10 +379,10 @@ int main(int argc, char** argv) {
                        "unattributed", "drained", "goodput"});
     for (double rate : faultRates()) {
       const Cell cell = run(rate, load, /*reliable=*/false);
-      table.addRow({fmt(rate, "%.3f"), fmtU(cell.queued),
+      table.addRow({bench::fmt(rate, "%.3f"), fmtU(cell.queued),
                     fmtU(cell.delivered), fmtU(cell.lost),
                     fmtU(cell.unattributed), cell.drained ? "yes" : "NO",
-                    fmt(cell.goodput)});
+                    bench::fmt(cell.goodput, "%.4f")});
     }
     std::fputs(table.render().c_str(), stdout);
   }
@@ -448,7 +402,8 @@ int main(int argc, char** argv) {
       table.addRow({fmtU(static_cast<std::uint64_t>(vcs)), fmtU(cell.queued),
                     fmtU(cell.delivered), fmtU(cell.lost),
                     fmtU(cell.duplicates), fmtU(cell.retransmits),
-                    fmt(cell.goodput), cell.drained ? "yes" : "NO"});
+                    bench::fmt(cell.goodput, "%.4f"),
+                    cell.drained ? "yes" : "NO"});
       if (cell.lost != 0 || !cell.drained) {
         std::printf("!! exactly-once violated at vcs=%d\n", vcs);
         exitCode = 1;
@@ -473,20 +428,18 @@ int main(int argc, char** argv) {
   }
   std::fputs("[\n", out);
   const bool tracing = !gFlags.tracePath.empty();
-  std::string traceJson;
-  std::string kernelJson;
-  std::fputs(instrumentedReport(midRate, midLoad, true,
-                                tracing ? &traceJson : nullptr,
-                                tracing ? &kernelJson : nullptr)
-                 .c_str(),
-             out);
+  bench::TraceArtifacts trace;
+  std::fputs(
+      instrumentedReport(midRate, midLoad, true, tracing ? &trace : nullptr)
+          .c_str(),
+      out);
   std::fputs(",\n", out);
   std::fputs(instrumentedReport(midRate, midLoad, false).c_str(), out);
   std::fputs("]\n", out);
   std::fclose(out);
   std::printf("\nRunReport JSON written to %s\n", path.c_str());
 
-  if (tracing && !bench::writeTrace(gFlags, traceJson, kernelJson))
+  if (tracing && !bench::writeTrace(gFlags, trace))
     return 1;
   return exitCode;
 }

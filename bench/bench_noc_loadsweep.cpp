@@ -38,10 +38,7 @@
 #include <vector>
 
 #include "noc/network.hpp"
-#include "noc/observe.hpp"
-#include "noc/watchdog.hpp"
 #include "tech/report.hpp"
-#include "telemetry/trace_event.hpp"
 
 #include "sweep_flags.hpp"
 
@@ -53,11 +50,6 @@ constexpr int kWarmup = 800;
 constexpr int kMeasure = 3000;
 
 bench::SweepFlags gFlags;
-
-std::shared_ptr<const noc::Topology> makeBenchTopology() {
-  // 4x4 grid for mesh/torus, the same 16 nodes as a ring.
-  return noc::makeTopology(gFlags.topology, 4, 4);
-}
 
 noc::NetworkConfig benchConfig(int p, int vcs = 0) {
   noc::NetworkConfig cfg;
@@ -98,7 +90,7 @@ struct Point {
 };
 
 Point run(noc::TrafficPattern pattern, double load, int p, int vcs = 0) {
-  auto topo = makeBenchTopology();
+  auto topo = bench::makeBenchTopology(gFlags);
   noc::Network net(topo, benchConfig(p, vcs));
   net.ledger().setWarmupCycles(kWarmup);
   net.attachTraffic(benchTraffic(pattern, load));
@@ -109,66 +101,32 @@ Point run(noc::TrafficPattern pattern, double load, int p, int vcs = 0) {
                                                       topo->nodes())};
 }
 
-std::string fmt(double v, const char* f = "%.2f") {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, f, v);
-  return buf;
-}
-
 // One instrumented run at the given load; returns the serialized report.
-// When `traceJson` is non-null the run is flit-traced and the Perfetto
-// export is stored there, with the kernel-profile counter sidecar in
-// `kernelJson` (kernel-dependent by nature, hence the separate file).
+// With `trace` set the run is flit-traced (sweep_flags.hpp).
 std::string instrumentedReport(noc::TrafficPattern pattern, double load,
-                               std::string* traceJson = nullptr,
-                               std::string* kernelJson = nullptr) {
-  noc::Network net(makeBenchTopology(), benchConfig(4));
-  telemetry::MetricsRegistry registry;
-  net.enableTelemetry(registry);
-  noc::FlowTracer* tracer = nullptr;
-  if (traceJson) {
-    noc::TraceConfig traceConfig;
-    traceConfig.sampleEvery = gFlags.traceSample;
-    tracer = &net.enableTracing(traceConfig);
-  }
-  noc::Watchdog watchdog("dog", net.ledger(), 500,
-                         [&net] { return net.blockedLinkNames(); },
-                         [&net] { return net.blockedLinkTraceDump(); });
-  net.simulator().add(watchdog);
-  net.ledger().setWarmupCycles(kWarmup);
-  net.attachTraffic(benchTraffic(pattern, load));
-  net.run(kWarmup + kMeasure);
-  if (tracer) {
-    *traceJson = tracer->perfettoJson();
-    if (kernelJson) *kernelJson = tracer->kernelProfileJson();
-  }
-  telemetry::RunReport report = noc::buildRunReport(
-      std::string("loadsweep.") + std::string(noc::name(pattern)), net,
-      &watchdog);
-  report.set("run", "offered_load", load);
-  report.set("run", "seed", std::uint64_t{99});
-  report.set("run", "kernel", bench::kernelName(gFlags.kernel));
-  return report.toJson();
+                               bench::TraceArtifacts* trace = nullptr) {
+  return bench::instrumentedReport(
+      gFlags, benchConfig(4),
+      std::string("loadsweep.") + std::string(noc::name(pattern)), 99,
+      [&](noc::Network& net) {
+        net.ledger().setWarmupCycles(kWarmup);
+        net.attachTraffic(benchTraffic(pattern, load));
+        net.run(kWarmup + kMeasure);
+      },
+      [&](telemetry::RunReport& report) {
+        report.set("run", "offered_load", load);
+        report.set("run", "seed", std::uint64_t{99});  // ahead of kernel
+      },
+      trace);
 }
 
 // --- QoS isolation experiment (--qos) ---------------------------------
-
-noc::FlowSpec qosFlow(router::TrafficClass cls, double load, int payload,
-                      std::uint64_t seed) {
-  noc::FlowSpec flow;
-  flow.trafficClass = cls;
-  flow.traffic.pattern = noc::TrafficPattern::UniformRandom;
-  flow.traffic.offeredLoad = load;
-  flow.traffic.payloadFlits = payload;
-  flow.traffic.seed = seed;
-  return flow;
-}
 
 // The probe flow: low-rate short Control packets whose tail latency the
 // sweep defends.  The rate is far below any knee so its baseline p99 is a
 // property of the topology, not of queueing.
 noc::FlowSpec qosControlFlow() {
-  return qosFlow(router::TrafficClass::Control, 0.02, 2, 99);
+  return bench::qosFlow(router::TrafficClass::Control, 0.02, 2, 99);
 }
 
 struct QosPoint {
@@ -181,7 +139,7 @@ struct QosPoint {
 };
 
 QosPoint runQos(const std::vector<noc::FlowSpec>& flows) {
-  auto topo = makeBenchTopology();
+  auto topo = bench::makeBenchTopology(gFlags);
   noc::Network net(topo, benchConfig(4, 4));
   net.ledger().setWarmupCycles(kWarmup);
   net.attachTraffic(flows);
@@ -201,30 +159,25 @@ QosPoint runQos(const std::vector<noc::FlowSpec>& flows) {
 
 std::string qosInstrumentedReport(const std::vector<noc::FlowSpec>& flows,
                                   double bulkLoad) {
-  noc::Network net(makeBenchTopology(), benchConfig(4, 4));
-  telemetry::MetricsRegistry registry;
-  net.enableTelemetry(registry);
-  noc::Watchdog watchdog("dog", net.ledger(), 500,
-                         [&net] { return net.blockedLinkNames(); },
-                         [&net] { return net.blockedLinkTraceDump(); });
-  net.simulator().add(watchdog);
-  net.ledger().setWarmupCycles(kWarmup);
-  net.attachTraffic(flows);
-  net.run(kWarmup + kMeasure);
-  telemetry::RunReport report =
-      noc::buildRunReport("loadsweep.qos", net, &watchdog);
-  report.set("run", "control_load", 0.02);
-  report.set("run", "bulk_load", bulkLoad);
-  report.set("run", "seed", std::uint64_t{99});
-  report.set("run", "kernel", bench::kernelName(gFlags.kernel));
-  return report.toJson();
+  return bench::instrumentedReport(
+      gFlags, benchConfig(4, 4), "loadsweep.qos", 99,
+      [&](noc::Network& net) {
+        net.ledger().setWarmupCycles(kWarmup);
+        net.attachTraffic(flows);
+        net.run(kWarmup + kMeasure);
+      },
+      [&](telemetry::RunReport& report) {
+        report.set("run", "control_load", 0.02);
+        report.set("run", "bulk_load", bulkLoad);
+        report.set("run", "seed", std::uint64_t{99});  // ahead of kernel
+      });
 }
 
 int runQosSweep(const std::string& path) {
   std::printf(
       "RASoC %s QoS isolation sweep (16 nodes, n=16, 4 VCs, qosClasses, "
       "%d measured cycles, %s kernel)\n\n",
-      makeBenchTopology()->describe().c_str(), kMeasure,
+      bench::makeBenchTopology(gFlags)->describe().c_str(), kMeasure,
       bench::kernelName(gFlags.kernel));
 
   // Unloaded baseline: the Control probe alone on an idle network.
@@ -240,15 +193,15 @@ int runQosSweep(const std::string& path) {
   for (double bulkLoad : {0.10, 0.30, 0.50, 0.70}) {
     const QosPoint point = runQos(
         {qosControlFlow(),
-         qosFlow(router::TrafficClass::Bulk, bulkLoad, 6, 7)});
+         bench::qosFlow(router::TrafficClass::Bulk, bulkLoad, 6, 7)});
     const double ratio =
         base.ctrlP99 > 0.0 ? point.ctrlP99 / base.ctrlP99 : 0.0;
     if (ratio > 2.0) isolated = false;
-    table.addRow({fmt(bulkLoad), fmt(point.ctrlP99, "%.1f"),
-                  fmt(ratio), fmt(point.ctrlMax, "%.1f"),
-                  fmt(point.bulkP99, "%.1f"), std::to_string(
+    table.addRow({bench::fmt(bulkLoad), bench::fmt(point.ctrlP99, "%.1f"),
+                  bench::fmt(ratio), bench::fmt(point.ctrlMax, "%.1f"),
+                  bench::fmt(point.bulkP99, "%.1f"), std::to_string(
                       static_cast<unsigned long long>(point.bulkDelivered)),
-                  fmt(point.throughput, "%.4f")});
+                  bench::fmt(point.throughput, "%.4f")});
   }
   std::fputs(table.render().c_str(), stdout);
   if (!isolated) {
@@ -260,14 +213,14 @@ int runQosSweep(const std::string& path) {
   // priority order (control <= latency <= bulk/best-effort tails).
   std::printf("\n--- four-class mix (bulk+best-effort at 0.35 each) ---\n");
   {
-    auto topo = makeBenchTopology();
+    auto topo = bench::makeBenchTopology(gFlags);
     noc::Network net(topo, benchConfig(4, 4));
     net.ledger().setWarmupCycles(kWarmup);
     net.attachTraffic(std::vector<noc::FlowSpec>{
-        qosFlow(router::TrafficClass::Control, 0.02, 2, 99),
-        qosFlow(router::TrafficClass::Latency, 0.05, 2, 51),
-        qosFlow(router::TrafficClass::Bulk, 0.35, 6, 7),
-        qosFlow(router::TrafficClass::BestEffort, 0.35, 6, 13)});
+        bench::qosFlow(router::TrafficClass::Control, 0.02, 2, 99),
+        bench::qosFlow(router::TrafficClass::Latency, 0.05, 2, 51),
+        bench::qosFlow(router::TrafficClass::Bulk, 0.35, 6, 7),
+        bench::qosFlow(router::TrafficClass::BestEffort, 0.35, 6, 13)});
     net.run(kWarmup + kMeasure);
     if (!net.healthy()) std::printf("!! unhealthy run\n");
     tech::Table mix({"class", "delivered", "lat mean", "lat p50",
@@ -278,8 +231,8 @@ int runQosSweep(const std::string& path) {
       mix.addRow({std::string(router::name(cls)),
                   std::to_string(static_cast<unsigned long long>(
                       net.ledger().delivered(cls))),
-                  fmt(lat.mean()), fmt(lat.percentile(0.5)),
-                  fmt(lat.percentile(0.99)), fmt(lat.max())});
+                  bench::fmt(lat.mean()), bench::fmt(lat.percentile(0.5)),
+                  bench::fmt(lat.percentile(0.99)), bench::fmt(lat.max())});
     }
     std::fputs(mix.render().c_str(), stdout);
   }
@@ -297,12 +250,12 @@ int runQosSweep(const std::string& path) {
     return 1;
   }
   std::fputs("[\n", out);
-  std::fputs(
-      qosInstrumentedReport({qosControlFlow(),
-                             qosFlow(router::TrafficClass::Bulk, 0.50, 6, 7)},
-                            0.50)
-          .c_str(),
-      out);
+  std::fputs(qosInstrumentedReport(
+                 {qosControlFlow(),
+                  bench::qosFlow(router::TrafficClass::Bulk, 0.50, 6, 7)},
+                 0.50)
+                 .c_str(),
+             out);
   std::fputs("]\n", out);
   std::fclose(out);
   std::printf("\nRunReport JSON written to %s\n", path.c_str());
@@ -345,7 +298,7 @@ int main(int argc, char** argv) {
   std::printf(
       "RASoC %s load sweep (16 nodes, n=16, 8-flit packets, %d measured "
       "cycles, %s kernel)\n\n",
-      makeBenchTopology()->describe().c_str(), kMeasure,
+      bench::makeBenchTopology(gFlags)->describe().c_str(), kMeasure,
       bench::kernelName(gFlags.kernel));
 
   for (noc::TrafficPattern pattern : benchPatterns()) {
@@ -354,11 +307,11 @@ int main(int argc, char** argv) {
     tech::Table table({"load", "lat p=2", "thru p=2", "lat p=4", "thru p=4",
                        "lat p=8", "thru p=8"});
     for (double load : {0.02, 0.05, 0.10, 0.20, 0.35, 0.50}) {
-      std::vector<std::string> row{fmt(load)};
+      std::vector<std::string> row{bench::fmt(load)};
       for (int p : {2, 4, 8}) {
         const Point point = run(pattern, load, p);
-        row.push_back(fmt(point.latency));
-        row.push_back(fmt(point.throughput, "%.4f"));
+        row.push_back(bench::fmt(point.latency));
+        row.push_back(bench::fmt(point.throughput, "%.4f"));
       }
       table.addRow(row);
     }
@@ -375,12 +328,12 @@ int main(int argc, char** argv) {
     tech::Table table({"load", "lat vc1", "thru vc1", "lat vc2", "thru vc2",
                        "lat vc4", "thru vc4"});
     for (double load : {0.05, 0.20, 0.35, 0.50}) {
-      std::vector<std::string> row{fmt(load)};
+      std::vector<std::string> row{bench::fmt(load)};
       for (int vcs : {1, 2, 4}) {
         const Point point =
             run(noc::TrafficPattern::UniformRandom, load, 4, vcs);
-        row.push_back(fmt(point.latency));
-        row.push_back(fmt(point.throughput, "%.4f"));
+        row.push_back(bench::fmt(point.latency));
+        row.push_back(bench::fmt(point.throughput, "%.4f"));
       }
       table.addRow(row);
     }
@@ -404,19 +357,17 @@ int main(int argc, char** argv) {
   }
   std::fputs("[\n", out);
   bool first = true;
-  std::string traceJson;
-  std::string kernelJson;
+  bench::TraceArtifacts trace;
   for (noc::TrafficPattern pattern : benchPatterns()) {
     if (!first) std::fputs(",\n", out);
     // The hotspot run is the interesting one to trace: its congestion tree
     // shows up as hop_blocked time on the flow tracks.
     const bool traceThis =
         !gFlags.tracePath.empty() && pattern == noc::TrafficPattern::HotSpot;
-    std::fputs(instrumentedReport(pattern, 0.20,
-                                  traceThis ? &traceJson : nullptr,
-                                  traceThis ? &kernelJson : nullptr)
-                   .c_str(),
-               out);
+    std::fputs(
+        instrumentedReport(pattern, 0.20, traceThis ? &trace : nullptr)
+            .c_str(),
+        out);
     first = false;
   }
   std::fputs("]\n", out);
@@ -424,7 +375,7 @@ int main(int argc, char** argv) {
   std::printf("\nRunReport JSON written to %s\n", path.c_str());
 
   if (!gFlags.tracePath.empty() &&
-      !bench::writeTrace(gFlags, traceJson, kernelJson))
+      !bench::writeTrace(gFlags, trace))
     return 1;
   return 0;
 }

@@ -1,10 +1,14 @@
-// Strict command-line flags shared by the sweep benches
-// (bench_noc_loadsweep, bench_noc_faultsweep); the examples parse their
-// positional numbers with parseNumberFlag too.  A numeric flag must be a
-// whole decimal number in range ("--vcs=4x" is an error, not 4), a kernel
-// must be one of naive|event|compiled, and an unrecognised "--" option is
-// an error rather than the report path.  Each helper prints its own
-// message; the caller exits nonzero.
+// What the sweep benches (bench_noc_loadsweep, bench_noc_faultsweep)
+// share: strict command-line flags, the 16-node bench topology, table-cell
+// formatting, the QoS experiments' flow shape, and the instrumented run
+// behind every RunReport artifact.
+//
+// Flags parse strictly; the examples parse their positional numbers with
+// parseNumberFlag too.  A numeric flag must be a whole decimal number in
+// range ("--vcs=4x" is an error, not 4), a kernel must be one of
+// naive|event|compiled, and an unrecognised "--" option is an error rather
+// than the report path.  Each helper prints its own message; the caller
+// exits nonzero.
 //
 // Each bench keeps its own flag loop (only the fault sweep has --quick)
 // and fills a SweepFlags; validSweepFlags() then runs the checks that need
@@ -15,11 +19,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <system_error>
+#include <utility>
 
 #include "noc/network.hpp"
+#include "noc/observe.hpp"
+#include "noc/watchdog.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/report.hpp"
 #include "telemetry/trace_event.hpp"
 
 namespace rasoc::bench {
@@ -148,25 +158,99 @@ inline bool writeValidatedTrace(const std::string& path,
   return true;
 }
 
+// The Perfetto flow trace of a traced instrumented run, and its
+// kernel-profile counters.
+struct TraceArtifacts {
+  std::string trace;
+  std::string kernel;
+};
+
 // Writes the --trace artifacts: the Perfetto flow trace at
 // flags.tracePath and the kernel-profile counters beside it as
 // <path>.kernel.json.  The counters depend on the settle kernel, so they
 // ship as a sidecar and the flow trace stays byte-identical across
 // kernels.
-inline bool writeTrace(const SweepFlags& flags, const std::string& traceJson,
-                       const std::string& kernelJson) {
-  if (!writeValidatedTrace(flags.tracePath, traceJson, "Perfetto trace"))
+inline bool writeTrace(const SweepFlags& flags,
+                       const TraceArtifacts& artifacts) {
+  if (!writeValidatedTrace(flags.tracePath, artifacts.trace,
+                           "Perfetto trace"))
     return false;
   std::printf("Perfetto trace written to %s (%zu bytes, sample=%llu)\n",
-              flags.tracePath.c_str(), traceJson.size(),
+              flags.tracePath.c_str(), artifacts.trace.size(),
               static_cast<unsigned long long>(flags.traceSample));
   const std::string kernelPath = flags.tracePath + ".kernel.json";
-  if (!writeValidatedTrace(kernelPath, kernelJson,
+  if (!writeValidatedTrace(kernelPath, artifacts.kernel,
                            "kernel-profile sidecar"))
     return false;
   std::printf("Kernel-profile sidecar written to %s (%zu bytes)\n",
-              kernelPath.c_str(), kernelJson.size());
+              kernelPath.c_str(), artifacts.kernel.size());
   return true;
+}
+
+// --- sweep scaffolding --------------------------------------------------
+
+// The sweeps' 16 nodes: a 4x4 grid for mesh/torus, a 16-node ring.
+inline std::shared_ptr<const noc::Topology> makeBenchTopology(
+    const SweepFlags& flags) {
+  return noc::makeTopology(flags.topology, 4, 4);
+}
+
+// One table cell, printf-formatted.
+inline std::string fmt(double v, const char* format = "%.2f") {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+// A uniform-random flow of class `cls` (the --qos experiments).
+inline noc::FlowSpec qosFlow(router::TrafficClass cls, double load,
+                             int payload, std::uint64_t seed) {
+  noc::FlowSpec flow;
+  flow.trafficClass = cls;
+  flow.traffic.pattern = noc::TrafficPattern::UniformRandom;
+  flow.traffic.offeredLoad = load;
+  flow.traffic.payloadFlits = payload;
+  flow.traffic.seed = seed;
+  return flow;
+}
+
+// One instrumented run, serialized as RunReport JSON `name`: telemetry on
+// every router and NI, a stall watchdog with the blocked-link diagnostics,
+// and, when `trace` is set, the flow tracer, whose export and
+// kernel-profile counters land there.  `drive(net)` attaches traffic and
+// runs; `annotate(report)` adds the bench's own `run` keys, after which
+// run.kernel and run.seed are set.  RunReport keeps a key's first
+// position when it is set again, so an annotation that sets run.seed
+// first keeps it ahead of run.kernel.
+template <typename Drive, typename Annotate>
+std::string instrumentedReport(const SweepFlags& flags,
+                               noc::NetworkConfig config,
+                               const std::string& name, std::uint64_t seed,
+                               Drive&& drive, Annotate&& annotate,
+                               TraceArtifacts* trace = nullptr) {
+  noc::Network net(makeBenchTopology(flags), std::move(config));
+  telemetry::MetricsRegistry registry;
+  net.enableTelemetry(registry);
+  noc::FlowTracer* tracer = nullptr;
+  if (trace) {
+    noc::TraceConfig traceConfig;
+    traceConfig.sampleEvery = flags.traceSample;
+    tracer = &net.enableTracing(traceConfig);
+  }
+  noc::Watchdog watchdog("dog", net.ledger(), 500,
+                         [&net] { return net.blockedLinkNames(); },
+                         [&net] { return net.blockedLinkTraceDump(); });
+  net.simulator().add(watchdog);
+  drive(net);
+  if (tracer) {
+    trace->trace = tracer->perfettoJson();
+    trace->kernel = tracer->kernelProfileJson();
+  }
+  telemetry::RunReport report = noc::buildRunReport(name, net, &watchdog);
+  annotate(report);
+  report.set("run", "kernel", kernelName(flags.kernel));
+  report.set("run", "seed", seed);
+  return report.toJson();
 }
 
 }  // namespace rasoc::bench

@@ -4,14 +4,15 @@
 ///
 /// A FaultPlan is a flat list of FaultEvents — (link, kind, window, rate)
 /// tuples — that the Network builder compiles into per-link
-/// router::FaultWindow schedules on router::FaultyLink instances.  Plans
-/// are plain data: build them by hand for targeted tests, or generate a
-/// whole campaign with makeFaultPlan(), which scatters corruption windows,
-/// stuck-ack stalls and link-down outages over the topology's links from a
-/// single seed (same topology + same CampaignConfig ⇒ byte-identical plan).
+/// router::FaultWindow schedules, each handed to the fault model of the
+/// router::Link it names (Link::enableFaults).  Plans are plain data:
+/// build them by hand for targeted tests, or generate a whole campaign
+/// with makeFaultPlan(), which scatters corruption windows, stuck-ack
+/// stalls and link-down outages over the topology's links from a single
+/// seed (same topology + same CampaignConfig ⇒ byte-identical plan).
 ///
-/// Fault semantics live in router/faulty_link.hpp; the taxonomy and the
-/// recovery protocol layered above it are documented in DESIGN.md §9.
+/// Fault semantics live in router/link.hpp; the taxonomy and the recovery
+/// protocol layered above it are documented in DESIGN.md §9.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,7 @@
 #include <vector>
 
 #include "noc/topology.hpp"
-#include "router/faulty_link.hpp"
+#include "router/link.hpp"
 
 namespace rasoc::noc {
 

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "noc/network.hpp"
-#include "router/faulty_link.hpp"
+#include "router/link.hpp"
 #include "router/input_channel.hpp"
 #include "router/output_channel.hpp"
 
@@ -156,7 +156,7 @@ void FlowTracer::onTick() {
   const std::uint64_t cycle = net_->simulator().cycle();
 
   // 1. Flush NI enqueues staged since the previous edge into the shadow
-  //    per-NI stream queues (order matches the hardware sendQueue_).
+  //    per-NI stream queues (order matches the NI's send queues).
   for (const Staged& s : staged_) {
     NiEntry entry;
     entry.id = s.id;

@@ -12,8 +12,8 @@
 ///   * wires still hold the settled pre-edge values (val/ack handshakes,
 ///     FIFO read strobes, crossbar requests, arbitration nets), and
 ///   * lifetime counters (InputChannel::flitsAccepted,
-///     OutputChannel::flitsSent, FaultyLink fault counters) and registered
-///     arbiter state are already post-edge.
+///     OutputChannel::flitsSent, the fault counters of every Link with a
+///     fault model) and registered arbiter state are already post-edge.
 ///
 /// Counter deltas say *what* moved this edge; pre-edge wires say *where*
 /// and *which way*; and a set of shadow FIFO queues — one per router input
@@ -55,7 +55,7 @@
 namespace rasoc::router {
 class InputChannel;
 class OutputChannel;
-class FaultyLink;
+class Link;
 }  // namespace rasoc::router
 
 namespace rasoc::noc {
@@ -214,7 +214,7 @@ class FlowTracer {
   };
   struct FaultyView {
     std::size_t slot = 0;  // (fromNode, fromPort)
-    const router::FaultyLink* link = nullptr;
+    const router::Link* link = nullptr;
     std::uint64_t prevCorrupted = 0;
     std::uint64_t prevDropped = 0;
     std::uint64_t prevStalls = 0;

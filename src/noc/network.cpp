@@ -34,7 +34,7 @@ Network::Network(std::shared_ptr<const Topology> topology,
     config_.faultPlan.validate(*topology_);
     // With VCs every window kind is legal under either flow control: the
     // faulted link masks the per-VC vcFree levels instead of the ack wire
-    // (router/faulty_link.hpp).
+    // (router/link.hpp).
     if (config_.params.flowControl != router::FlowControl::Handshake &&
         config_.params.numVCs == 1) {
       for (const FaultEvent& e : config_.faultPlan.events) {
@@ -95,7 +95,7 @@ Network::Network(std::shared_ptr<const Topology> topology,
   }
 
   // One directed link per (node, outgoing port) pair of the adjacency
-  // relation; fault-injecting when requested.  Enumerating every node's
+  // relation, with a fault model when requested.  Enumerating every node's
   // outgoing ports covers both directions of every physical connection.
   for (int i = 0; i < topology_->nodes(); ++i) {
     const NodeId from = topology_->nodeAt(i);
@@ -108,22 +108,15 @@ Network::Network(std::shared_ptr<const Topology> topology,
       const LinkId linkId{from, out};
       std::vector<router::FaultWindow> windows =
           config_.faultPlan.windowsFor(linkId);
-      std::unique_ptr<router::Link> link;
+      auto link = std::make_unique<router::Link>(
+          linkName, routers_[indexOf(from)]->out(out),
+          routers_[indexOf(*to)]->in(router::opposite(out)),
+          config_.params.flowControl, config_.params.numVCs);
       if (config_.linkFaultRate > 0.0 || !windows.empty()) {
-        auto faulty = std::make_unique<router::FaultyLink>(
-            linkName, routers_[indexOf(from)]->out(out),
-            routers_[indexOf(*to)]->in(router::opposite(out)),
-            config_.params.n, config_.linkFaultRate,
-            config_.faultSeed + links_.size() * 131 + 7,
-            config_.params.flowControl, config_.params.numVCs);
-        faulty->setWindows(std::move(windows));
-        faultyLinks_.emplace_back(linkId, faulty.get());
-        link = std::move(faulty);
-      } else {
-        link = std::make_unique<router::Link>(
-            linkName, routers_[indexOf(from)]->out(out),
-            routers_[indexOf(*to)]->in(router::opposite(out)),
-            config_.params.flowControl, config_.params.numVCs);
+        link->enableFaults(config_.params.n, config_.linkFaultRate,
+                           config_.faultSeed + links_.size() * 131 + 7,
+                           std::move(windows));
+        faultyLinks_.emplace_back(linkId, link.get());
       }
       sim_.add(*link);
       linkIndex_[{topology_->indexOf(from), router::index(out)}] = link.get();
@@ -203,11 +196,11 @@ void Network::enableTelemetry(telemetry::MetricsRegistry& registry) {
   // Per-link fault counters (only links that can actually fault).
   for (const auto& [id, link] : faultyLinks_) {
     const std::string prefix = linkMetricPrefix(id) + ".";
-    router::FaultyLinkMetrics fm;
+    router::LinkFaultMetrics fm;
     fm.flitsCorrupted = &registry.counter(prefix + "flits_corrupted");
     fm.flitsDropped = &registry.counter(prefix + "flits_dropped");
     fm.stallCycles = &registry.counter(prefix + "stall_cycles");
-    link->attachMetrics(fm);
+    link->attachFaultMetrics(fm);
   }
   // Per-VC buffered-flit gauges: the occupancy heatmap's time series.
   if (config_.params.numVCs > 1) {

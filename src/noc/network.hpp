@@ -21,7 +21,6 @@
 #include "noc/stats.hpp"
 #include "noc/topology.hpp"
 #include "noc/traffic.hpp"
-#include "router/faulty_link.hpp"
 #include "router/link.hpp"
 #include "router/rasoc.hpp"
 
@@ -52,15 +51,16 @@ struct NetworkConfig {
   ReliabilityConfig reliability;
 
   /// Per-flit probability of a single payload-bit flip on each inter-router
-  /// link (0 = ideal links, plain Link modules).  Uniform background noise;
+  /// link (0 = ideal links, without a fault model).  Uniform background noise;
   /// for windowed faults use `faultPlan`.
   double linkFaultRate = 0.0;
   std::uint64_t faultSeed = 0xfa17;
 
-  /// Scheduled fault campaign (noc/fault.hpp): links named by the plan are
-  /// built as FaultyLink with the plan's corruption / stuck-ack /
-  /// link-down windows.  Stall and outage windows require handshake flow
-  /// control (the builder throws otherwise).
+  /// Scheduled fault campaign (noc/fault.hpp): links named by the plan get
+  /// a fault model (router::Link::enableFaults) with the plan's
+  /// corruption / stuck-ack / link-down windows.  Stall and outage windows
+  /// require handshake flow control at numVCs == 1 (the builder throws
+  /// otherwise).
   FaultPlan faultPlan;
 };
 
@@ -128,8 +128,9 @@ class Network {
   /// touching either endpoint.  Empty when tracing is off.
   std::vector<std::string> blockedLinkTraceDump(std::size_t perLink = 8) const;
 
-  /// Fault-injecting links with their topology ids (empty on ideal links).
-  const std::vector<std::pair<LinkId, router::FaultyLink*>>& faultyLinks()
+  /// Links with a fault model, with their topology ids (empty on ideal
+  /// networks).
+  const std::vector<std::pair<LinkId, router::Link*>>& faultyLinks()
       const {
     return faultyLinks_;
   }
@@ -191,7 +192,7 @@ class Network {
   std::vector<std::unique_ptr<router::Link>> links_;
   std::map<std::pair<int, int>, router::Link*> linkIndex_;  // (node, port)
   // Views into links_, with the topology-level id for metric naming.
-  std::vector<std::pair<LinkId, router::FaultyLink*>> faultyLinks_;
+  std::vector<std::pair<LinkId, router::Link*>> faultyLinks_;
   // Flow-major: generators_[f * nodes + i] is flow f's generator at node i.
   std::vector<std::unique_ptr<TrafficGenerator>> generators_;
   std::size_t trafficFlows_ = 0;

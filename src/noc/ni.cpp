@@ -55,20 +55,21 @@ NetworkInterface::NetworkInterface(std::string name,
   // state; the receive side echoes the router's val into ack.
   declareSequential();
   sensitive(fromRouter.val);
-  if (vcMode()) {
-    if (options_.injectVc < 0 || options_.injectVc >= params_.numVCs)
-      throw std::invalid_argument("NI injectVc outside [0, numVCs)");
-    sensitive(fromRouter.vc);
-    if (!creditMode()) {
-      if (params_.qosClasses) {
-        // Every class inject VC is adaptive (>= escapeVCs); the scheduler
-        // watches each one's space advertisement.
-        for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
-          sensitive(toRouter.vcFree[static_cast<std::size_t>(v)]);
-      } else {
-        sensitive(
-            toRouter.vcFree[static_cast<std::size_t>(options_.injectVc)]);
-      }
+  if (!vcMode()) {
+    options_.injectVc = 0;  // the only VC
+    return;
+  }
+  if (options_.injectVc < 0 || options_.injectVc >= params_.numVCs)
+    throw std::invalid_argument("NI injectVc outside [0, numVCs)");
+  sensitive(fromRouter.vc);
+  if (!creditMode()) {
+    if (params_.qosClasses) {
+      // Every class inject VC is adaptive (>= escapeVCs); the scheduler
+      // watches each one's space advertisement.
+      for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
+        sensitive(toRouter.vcFree[static_cast<std::size_t>(v)]);
+    } else {
+      sensitive(toRouter.vcFree[static_cast<std::size_t>(options_.injectVc)]);
     }
   }
 }
@@ -88,87 +89,44 @@ int NetworkInterface::payloadBits() const {
 }
 
 int NetworkInterface::injectVcFor(router::TrafficClass cls) const {
-  if (!params_.qosClasses) return vcMode() ? options_.injectVc : 0;
+  if (!params_.qosClasses) return options_.injectVc;
   return router::qosInjectVc(cls, params_.numVCs, options_.escapeVCs);
 }
 
-std::deque<NetworkInterface::OutPacket>& NetworkInterface::queueFor(int vc) {
-  return params_.qosClasses ? vcSendQueue_[static_cast<std::size_t>(vc)]
-                            : sendQueue_;
-}
-
-const std::deque<NetworkInterface::OutPacket>& NetworkInterface::queueFor(
-    int vc) const {
-  return params_.qosClasses ? vcSendQueue_[static_cast<std::size_t>(vc)]
-                            : sendQueue_;
-}
-
 std::size_t NetworkInterface::sendQueuePackets() const {
-  std::size_t total = sendQueue_.size();
-  if (params_.qosClasses) {
-    for (int v = 0; v < params_.numVCs; ++v)
-      total += vcSendQueue_[static_cast<std::size_t>(v)].size();
-  }
+  std::size_t total = 0;
+  for (int v = 0; v < params_.numVCs; ++v)
+    total += sendQueues_[static_cast<std::size_t>(v)].size();
   return total + (transport_ ? transport_->backlogFrames() : 0);
 }
 
 std::size_t NetworkInterface::sendQueuePackets(
     router::TrafficClass cls) const {
-  return queueFor(injectVcFor(cls)).size();
+  return sendQueues_[static_cast<std::size_t>(injectVcFor(cls))].size();
 }
 
 bool NetworkInterface::idle() const {
-  if (!sendQueue_.empty()) return false;
-  for (const auto& q : vcSendQueue_)
-    if (!q.empty()) return false;
+  for (int v = 0; v < params_.numVCs; ++v)
+    if (!sendQueues_[static_cast<std::size_t>(v)].empty()) return false;
   return !transport_ || transport_->idle();
-}
-
-int NetworkInterface::scheduledInjectVc(unsigned freeMask) const {
-  // Strict priority, work-conserving: the class→VC map puts higher classes
-  // on higher VCs, so the highest non-empty, non-blocked inject queue wins.
-  for (int v = params_.numVCs - 1; v >= 0; --v) {
-    if (vcSendQueue_[static_cast<std::size_t>(v)].empty()) continue;
-    const bool space = creditMode()
-                           ? vcCredits_[static_cast<std::size_t>(v)] > 0
-                           : ((freeMask >> v) & 1u) != 0;
-    if (space) return v;
-  }
-  return -1;
 }
 
 NetworkInterface::PendingSend NetworkInterface::pendingSend(
     unsigned freeMask) const {
   // Present the next flit whenever one is pending and the flow control
-  // permits it.  numVCs == 1: a credit (credit mode) or always (handshake,
-  // the ack completes the transfer).  numVCs > 1: the inject VC's
-  // advertised space (on/off level) or an in-hand per-VC credit — the
-  // transfer is then unconditional.  Under qosClasses the inject VC is
-  // picked per cycle by strict class priority over the per-VC queues.
-  PendingSend out;
-  if (params_.qosClasses) {
-    const int v = scheduledInjectVc(freeMask);
-    if (v >= 0) {
-      const OutPacket& packet = vcSendQueue_[static_cast<std::size_t>(v)].front();
-      out.flit = &packet.flits[packet.next];
-      out.vc = v;
-    }
-    return out;
+  // permits it: an in-hand credit under credit flow control, otherwise
+  // the VC's advertised space (a level the NI does not read is always
+  // set).  At numVCs == 1 under handshake the ack then completes the
+  // transfer; otherwise the transfer is unconditional.
+  for (int v = params_.numVCs - 1; v >= 0; --v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const std::deque<OutPacket>& queue = sendQueues_[vi];
+    if (queue.empty()) continue;
+    const bool space =
+        creditMode() ? credits_[vi] > 0 : ((freeMask >> v) & 1u) != 0;
+    if (space) return {&queue.front().flits[queue.front().next], v};
   }
-  out.vc = vcMode() ? options_.injectVc : 0;
-  bool canSend = !sendQueue_.empty();
-  if (vcMode()) {
-    const auto vi = static_cast<std::size_t>(out.vc);
-    canSend = canSend && (creditMode() ? vcCredits_[vi] > 0
-                                       : ((freeMask >> out.vc) & 1u) != 0);
-  } else if (creditMode()) {
-    canSend = canSend && credits_ > 0;
-  }
-  if (canSend) {
-    const OutPacket& packet = sendQueue_.front();
-    out.flit = &packet.flits[packet.next];
-  }
-  return out;
+  return {};
 }
 
 std::uint32_t NetworkInterface::parityProtect(std::uint32_t word) const {
@@ -189,13 +147,10 @@ void NetworkInterface::attachMetrics(const NiMetrics& metrics) {
 }
 
 void NetworkInterface::onReset() {
-  sendQueue_.clear();
-  for (auto& q : vcSendQueue_) q.clear();
+  for (auto& q : sendQueues_) q.clear();
   sendQueueFlits_ = 0;
-  credits_ = params_.p;
-  vcCredits_.fill(params_.p);
-  for (auto& buf : rxVc_) buf.clear();
-  rxFlits_.clear();
+  credits_.fill(params_.p);
+  for (auto& buf : reassembly_) buf.clear();
   received_.clear();
   cycle_ = 0;
   packetsSent_ = 0;
@@ -246,7 +201,7 @@ void NetworkInterface::send(NodeId dst,
     for (std::uint32_t& word : words) word = parityProtect(word);
   }
 
-  const int vc = vcMode() ? injectVcFor(cls) : 0;
+  const int vc = injectVcFor(cls);
   OutPacket packet;
   packet.dst = dst;
   packet.ledgerClass = ledgerClass;
@@ -270,16 +225,17 @@ void NetworkInterface::send(NodeId dst,
                             static_cast<int>(packet.flits.size()));
 
   sendQueueFlits_ += packet.flits.size();
-  queueFor(vc).push_back(std::move(packet));
+  sendQueues_[static_cast<std::size_t>(vc)].push_back(std::move(packet));
   // A queue push changes what evaluate() drives; wake the event-driven
   // kernel even when the push happens between cycles (testbench sends).
   markDirty();
 }
 
 void NetworkInterface::evaluate() {
-  // Send side.
-  unsigned freeMask = 0;
+  // Send side.  Only VCs under handshake flow control read vcFree.
+  unsigned freeMask = ~0u;
   if (vcMode() && !creditMode()) {
+    freeMask = 0;
     for (int v = 0; v < params_.numVCs; ++v)
       if (toRouter_->vcFree[static_cast<std::size_t>(v)].get())
         freeMask |= 1u << v;
@@ -319,13 +275,15 @@ void NetworkInterface::evaluate() {
 void NetworkInterface::clockEdge() {
   // --- send side ---------------------------------------------------------
   const bool presented = toRouter_->val.get();
-  // With VCs a presented flit always lands (evaluate() only raises val
-  // against advertised space or a credit in hand).
+  // A presented flit always lands (evaluate() only raises val against
+  // advertised space or a credit in hand), except that a single-VC
+  // handshake completes on the router's ack.
   const bool sent =
       presented && (vcMode() || creditMode() || toRouter_->ack.get());
+  const int sentVc = vcMode() ? toRouter_->vc.get() : 0;
   if (sent) {
-    const int sentVc = vcMode() ? toRouter_->vc.get() : 0;
-    std::deque<OutPacket>& queue = queueFor(sentVc);
+    std::deque<OutPacket>& queue =
+        sendQueues_[static_cast<std::size_t>(sentVc)];
     OutPacket& packet = queue.front();
     const Flit& flit = packet.flits[packet.next];
     if (flit.bop && packet.tracked)
@@ -342,22 +300,13 @@ void NetworkInterface::clockEdge() {
     }
   }
   if (creditMode()) {
-    if (vcMode()) {
-      if (params_.qosClasses) {
-        // Credits return on whichever VC each flit entered; every class
-        // inject VC keeps its own pool.
-        const int sentVc = sent ? toRouter_->vc.get() : -1;
-        for (int v = 0; v < params_.numVCs; ++v) {
-          const auto vi = static_cast<std::size_t>(v);
-          vcCredits_[vi] += (toRouter_->vcAck[vi].get() ? 1 : 0) -
-                            (v == sentVc ? 1 : 0);
-        }
-      } else {
-        const auto v = static_cast<std::size_t>(options_.injectVc);
-        vcCredits_[v] += (toRouter_->vcAck[v].get() ? 1 : 0) - (sent ? 1 : 0);
-      }
-    } else {
-      credits_ += (toRouter_->ack.get() ? 1 : 0) - (sent ? 1 : 0);
+    // Credits return on whichever VC each flit entered: on the ack pulse
+    // at numVCs == 1, on the VC's vcAck pulse above it.
+    for (int v = 0; v < params_.numVCs; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      const bool returned =
+          vcMode() ? toRouter_->vcAck[vi].get() : toRouter_->ack.get();
+      credits_[vi] += (returned ? 1 : 0) - (sent && v == sentVc ? 1 : 0);
     }
   }
 
@@ -378,12 +327,8 @@ void NetworkInterface::clockEdge() {
     flit.data = fromRouter_->flit.data.get();
     flit.bop = fromRouter_->flit.bop.get();
     flit.eop = fromRouter_->flit.eop.get();
-    // Packets on different VCs interleave flit-by-flit on the physical
-    // link, so each VC reassembles in its own buffer.
-    std::vector<Flit>& buf =
-        vcMode() ? rxVc_[static_cast<std::size_t>(fromRouter_->vc.get())]
-                 : rxFlits_;
-    acceptRxFlit(flit, buf);
+    const int vc = vcMode() ? fromRouter_->vc.get() : 0;
+    acceptRxFlit(flit, reassembly_[static_cast<std::size_t>(vc)]);
   }
 
   if (transport_) {
@@ -481,7 +426,7 @@ void NetworkInterface::enqueueFrame(ReliableTransport::WireFrame&& frame) {
   // The transport picked the frame's class: the submitter's on first DATA
   // transmissions, the reliability class on retransmissions and ACK/NACKs
   // — so recovery traffic rides its own isolated channel.
-  const int vc = vcMode() ? injectVcFor(frame.cls) : 0;
+  const int vc = injectVcFor(frame.cls);
   OutPacket packet;
   packet.dst = frame.dst;
   packet.frameId = frame.frameId;
@@ -507,7 +452,7 @@ void NetworkInterface::enqueueFrame(ReliableTransport::WireFrame&& frame) {
                             static_cast<int>(packet.flits.size()));
   }
   sendQueueFlits_ += packet.flits.size();
-  queueFor(vc).push_back(std::move(packet));
+  sendQueues_[static_cast<std::size_t>(vc)].push_back(std::move(packet));
   markDirty();
 }
 
@@ -584,7 +529,7 @@ void returnCredits(std::uint64_t* w, void* vctx) {
 template <bool kVc>
 void NetworkInterface::sendOp(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<SendCtx*>(vctx);
-  unsigned freeMask = 0;
+  unsigned freeMask = ~c->readMask;
   for (int v = 0; v < router::kMaxVCs; ++v)
     if (((c->readMask >> v) & 1u) != 0 && sim::opBit(w, c->free[v]))
       freeMask |= 1u << v;

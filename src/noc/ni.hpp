@@ -22,15 +22,21 @@
 /// once at the receiver.  The option is off by default and the default wire
 /// format and cycle behavior are bit-identical to the unprotected NI.
 ///
+/// The send queues, send credits and reassembly buffers are indexed by VC
+/// at every VC count (VC 0 at numVCs == 1), and injection is strict-
+/// priority work-conserving: each cycle the highest inject VC with a
+/// pending flit and space downstream sends.  Off QoS every packet takes
+/// the one inject VC, so one queue is ever filled.  Only the wire protocol
+/// differs with the VC count: `ack` at numVCs == 1; `vc`, `vcFree` and
+/// `vcAck` above it.
+///
 /// With RouterParams::qosClasses the NI is the tagging point of the QoS
 /// story (DESIGN.md §13): send() takes a TrafficClass, encodes it into the
 /// header flit's class bits and queues the packet on the class's inject VC
-/// (router::qosInjectVc).  The queues are per VC — classes sharing an
-/// inject VC share a FIFO, which preserves wormhole framing on that VC —
-/// and injection is strict-priority work-conserving: each cycle the
-/// highest inject VC with a pending flit and space downstream sends.
-/// Under reliability, first transmissions carry the submitter's class and
-/// retransmissions/ACKs ride ReliabilityConfig::trafficClass.
+/// (router::qosInjectVc).  Classes sharing an inject VC share a FIFO,
+/// which preserves wormhole framing on that VC.  Under reliability, first
+/// transmissions carry the submitter's class and retransmissions/ACKs ride
+/// ReliabilityConfig::trafficClass.
 #pragma once
 
 #include <array>
@@ -150,11 +156,12 @@ class NetworkInterface : public sim::Module {
   /// Usable payload bits per flit (n, minus one when parity is enabled).
   int payloadBits() const;
 
-  /// Sender-side credit counter for virtual channel `v` (meaningful under
-  /// credit flow control with numVCs > 1; tests pair it with the local
-  /// input channel's occupancy for the conservation invariant).
+  /// Sender-side credit counter for virtual channel `v` (VC 0 at
+  /// numVCs == 1; meaningful under credit flow control).  Tests pair it
+  /// with the local input buffer's occupancy for the conservation
+  /// invariant.
   int vcSendCredits(int v) const {
-    return vcCredits_[static_cast<std::size_t>(v)];
+    return credits_[static_cast<std::size_t>(v)];
   }
 
   /// Payload words of every received packet, in arrival order (the source
@@ -180,7 +187,7 @@ class NetworkInterface : public sim::Module {
   /// Attaches the flow tracer (Network::enableTracing).  The NI reports
   /// only wire-packet enqueues — everything downstream is reconstructed
   /// from wires and counters — but must do so before any packet is queued
-  /// so the tracer's shadow stream stays aligned with sendQueue_.
+  /// so the tracer's shadow stream stays aligned with the send queues.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
   /// Compiled-kernel lowering.  numVCs == 1: two ops — send (the pending
@@ -205,12 +212,10 @@ class NetworkInterface : public sim::Module {
   bool vcMode() const { return params_.numVCs > 1; }
   // Inject VC for a class under qosClasses (options_.injectVc otherwise).
   int injectVcFor(router::TrafficClass cls) const;
-  // QoS: the inject VC evaluate() schedules this cycle, or -1.  Strict
-  // priority: highest VC (= highest class) with a pending flit and
-  // downstream space wins.  Bit v of `freeMask` is toRouter vcFree[v].
-  int scheduledInjectVc(unsigned freeMask) const;
   // The flit the send side presents this cycle (null: none) and its inject
-  // VC, given the settled vcFree levels as in scheduledInjectVc().
+  // VC.  Strict priority: the highest VC (= highest class under QoS) with a
+  // pending flit and downstream space wins.  Bit v of `freeMask` is
+  // toRouter vcFree[v]; a level the NI does not read is set (free).
   // evaluate() and the compiled send op share it.
   struct PendingSend {
     const router::Flit* flit = nullptr;
@@ -223,8 +228,8 @@ class NetworkInterface : public sim::Module {
   // reads the vc wire, so it is never placed).
   template <bool kVc>
   static void sendOp(std::uint64_t* words, void* ctx);
-  // Packet-completion step shared by the single-queue (numVCs == 1) and
-  // per-VC reassembly paths.
+  // Appends an arriving flit to its VC's reassembly buffer and completes
+  // the packet at eop.
   void acceptRxFlit(const router::Flit& flit, std::vector<router::Flit>& buf);
 
   // Even-parity protect / check over the payload word layout.
@@ -257,26 +262,18 @@ class NetworkInterface : public sim::Module {
     // Delivery-ledger flow class of a tracked packet (-1 off QoS).
     int ledgerClass = -1;
   };
-  // The single queue when QoS is off; per-inject-VC queues under
-  // qosClasses, so a backed-up Bulk queue never blocks a Control packet
-  // behind it (queueFor() routes between them).
-  std::deque<OutPacket> sendQueue_;
-  std::array<std::deque<OutPacket>, router::kMaxVCs> vcSendQueue_;
+  // One queue per inject VC, so under qosClasses a backed-up Bulk queue
+  // never blocks a Control packet behind it.
+  std::array<std::deque<OutPacket>, router::kMaxVCs> sendQueues_;
   std::size_t sendQueueFlits_ = 0;
-  int credits_ = 0;
+  // Send-side per-VC credits (credit flow control).
+  std::array<int, router::kMaxVCs> credits_{};
 
-  // The send queue feeding inject VC `vc`.
-  std::deque<OutPacket>& queueFor(int vc);
-  const std::deque<OutPacket>& queueFor(int vc) const;
-
-  // Receive side.  numVCs == 1 reassembles in rxFlits_; with VCs, packets
-  // on different virtual channels interleave flit-by-flit on the physical
-  // link, so each VC reassembles independently in rxVc_.
-  std::vector<router::Flit> rxFlits_;
-  std::array<std::vector<router::Flit>, router::kMaxVCs> rxVc_;
+  // Receive side: packets on different virtual channels interleave
+  // flit-by-flit on the physical link, so each VC reassembles in its own
+  // buffer.
+  std::array<std::vector<router::Flit>, router::kMaxVCs> reassembly_;
   std::vector<std::vector<std::uint32_t>> received_;
-  // Send-side per-VC credits (credit flow control with numVCs > 1).
-  std::array<int, router::kMaxVCs> vcCredits_{};
 
   std::uint64_t cycle_ = 0;
   std::uint64_t packetsSent_ = 0;

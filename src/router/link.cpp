@@ -1,13 +1,102 @@
 #include "router/link.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <stdexcept>
-#include <typeinfo>
+#include <type_traits>
 #include <vector>
 
 #include "sim/compile.hpp"
 
 namespace rasoc::router {
+
+Link::FaultModel::FaultModel(int dataBits, double flipProbability,
+                             std::uint64_t seed,
+                             std::vector<FaultWindow> windows, bool single)
+    : dataBits(dataBits),
+      flipProbability(flipProbability),
+      seed(seed),
+      single(single),
+      windows(std::move(windows)) {
+  reset();
+}
+
+void Link::FaultModel::reset() {
+  rng = sim::Xoshiro256(seed);
+  flitsCorrupted = 0;
+  flitsDropped = 0;
+  stallCycles = 0;
+  cycle = 0;
+  state.stall = false;
+  state.down = false;
+  corruptRate = 0.0;
+  recomputeActive();
+  arm();
+}
+
+void Link::FaultModel::recomputeActive() {
+  state.stall = false;
+  state.down = false;
+  double rate = flipProbability;
+  for (const auto& w : windows) {
+    if (cycle < w.start || cycle - w.start >= w.duration) continue;
+    switch (w.kind) {
+      case FaultWindow::Kind::Corrupt:
+        rate = std::max(rate, w.rate);
+        break;
+      case FaultWindow::Kind::StuckAck:
+        state.stall = true;
+        break;
+      case FaultWindow::Kind::LinkDown:
+        state.down = true;
+        break;
+    }
+  }
+  if (rate != corruptRate) {
+    corruptRate = rate;
+    // Re-draw the armed mask under the new probability so a window's rate
+    // cannot leak past its end via a stale mask.  Only reachable with a
+    // schedule present, so window-less links keep the historical RNG stream.
+    if (!windows.empty()) arm();
+  }
+}
+
+void Link::FaultModel::arm() {
+  if (rng.chance(corruptRate)) {
+    state.armedMask = 1u << rng.below(static_cast<std::uint64_t>(dataBits));
+  } else {
+    state.armedMask = 0;
+  }
+}
+
+void Link::FaultModel::commitEdge(bool val, bool transferred, bool bop,
+                                  bool eop) {
+  const bool body = !bop && !eop;
+  // VC windows never consume flits (see evaluate()); every active-window
+  // cycle counts as a stall because all VCs are frozen for its duration.
+  const bool dropped = single && state.down && !state.stall && body && val;
+  const bool blockedByFault =
+      single ? (val && (state.stall || (state.down && !body)))
+             : state.masked();
+  // Headers pass clean and do not consume the armed mask.  A dropped flit
+  // never reached the far side, so its mask was not applied.
+  if (transferred && !bop) {
+    if (!dropped && state.armedMask != 0) {
+      ++flitsCorrupted;
+      if (metrics.flitsCorrupted) metrics.flitsCorrupted->inc();
+    }
+    arm();
+  }
+  if (dropped) {
+    ++flitsDropped;
+    if (metrics.flitsDropped) metrics.flitsDropped->inc();
+  }
+  if (blockedByFault) {
+    ++stallCycles;
+    if (metrics.stallCycles) metrics.stallCycles->inc();
+  }
+  ++cycle;
+  recomputeActive();
+}
 
 Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
            FlowControl flowControl, int numVCs)
@@ -33,36 +122,97 @@ Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
   }
 }
 
+void Link::enableFaults(int dataBits, double flipProbability,
+                        std::uint64_t seed, std::vector<FaultWindow> windows) {
+  if (dataBits < 1 || dataBits > 32)
+    throw std::invalid_argument("Link: fault dataBits must be 1..32");
+  if (flipProbability < 0.0 || flipProbability > 1.0)
+    throw std::invalid_argument("Link: flip probability must be in [0,1]");
+  for (const auto& w : windows) {
+    if (w.rate < 0.0 || w.rate > 1.0)
+      throw std::invalid_argument("Link: window rate must be in [0,1]");
+    if (w.kind != FaultWindow::Kind::Corrupt &&
+        flowControl_ != FlowControl::Handshake && numVCs_ == 1)
+      throw std::invalid_argument(
+          "Link: stall/drop windows require handshake flow control "
+          "(the credit-based ack wire carries credit returns)");
+  }
+  // The flit mask, re-drawn at every transfer, and the windows, keyed off a
+  // registered cycle counter, make evaluate() depend on registered state
+  // on top of its wire inputs.
+  declareSequential();
+  fault_.emplace(dataBits, flipProbability, seed, std::move(windows),
+                 numVCs_ == 1);
+}
+
+void Link::attachFaultMetrics(const LinkFaultMetrics& metrics) {
+  if (!fault_)
+    throw std::logic_error("Link::attachFaultMetrics: link has no faults");
+  fault_->metrics = metrics;
+}
+
+void Link::onReset() {
+  if (fault_) fault_->reset();
+}
+
 void Link::evaluate() {
+  static constexpr LinkFaultState kIdeal{};  // no mask, no window
+  const LinkFaultState& fault = fault_ ? fault_->state : kIdeal;
+  const bool pass = !fault.masked();
   const bool bop = src_->flit.bop.get();
   const bool eop = src_->flit.eop.get();
-  dst_->flit.data.set(transformData(src_->flit.data.get(), bop, eop));
-  dst_->flit.bop.set(bop);
-  dst_->flit.eop.set(eop);
-  dst_->val.set(src_->val.get());
+  const bool val = src_->val.get();
+  dst_->flit.data.set(pass ? src_->flit.data.get() ^ fault.flip(bop) : 0);
+  dst_->flit.bop.set(pass && bop);
+  dst_->flit.eop.set(pass && eop);
+  dst_->val.set(pass && val);
   if (numVCs_ == 1) {
-    src_->ack.set(dst_->ack.get());
+    src_->ack.set(fault.ack(dst_->ack.get(), val, bop, eop));
     return;
   }
   // VC mode: vc tag downstream, per-VC space/link-up levels and credit
-  // pulses upstream.  The ack wire is unused.
-  dst_->vc.set(src_->vc.get());
+  // pulses upstream; the ack wire is unused.  No flit is ever consumed
+  // under a window: the sender only raises val when vcFree said so
+  // pre-edge, and the window state is registered, so val is low for the
+  // whole window.
+  dst_->vc.set(pass ? src_->vc.get() : 0);
   for (int v = 0; v < numVCs_; ++v) {
-    src_->vcFree[static_cast<std::size_t>(v)].set(
-        dst_->vcFree[static_cast<std::size_t>(v)].get());
-    src_->vcAck[static_cast<std::size_t>(v)].set(
-        dst_->vcAck[static_cast<std::size_t>(v)].get());
+    const auto vi = static_cast<std::size_t>(v);
+    src_->vcFree[vi].set(pass && dst_->vcFree[vi].get());
+    src_->vcAck[vi].set(dst_->vcAck[vi].get());
   }
 }
 
-void Link::clockEdge() {
+// Samples the settled pre-edge upstream nets through Wire::get(): the
+// behavioural kernels' view for commitEdge().
+struct Link::WireSample {
+  static constexpr bool kMayFault = true;
+  Link* link;
+
+  bool val() const { return link->src_->val.get(); }
+  bool ack() const { return link->src_->ack.get(); }
+  bool bop() const { return link->src_->flit.bop.get(); }
+  bool eop() const { return link->src_->flit.eop.get(); }
+  bool handshake() const { return link->handshake(); }
+  std::uint64_t& flits() const { return link->flitsTransferred_; }
+  FaultModel* model() const {
+    return link->fault_ ? &*link->fault_ : nullptr;
+  }
+};
+
+void Link::clockEdge() { commitEdge(WireSample{this}); }
+
+template <typename S>
+void Link::commitEdge(const S& s) {
+  const bool val = s.val();
   // With VCs a scheduled flit always transfers: the sender only raises val
   // toward a VC with advertised space or an in-hand credit.
-  const bool transferred =
-      (flowControl_ == FlowControl::Handshake && numVCs_ == 1)
-          ? (src_->val.get() && src_->ack.get())
-          : src_->val.get();
-  if (transferred) ++flitsTransferred_;
+  const bool transferred = s.handshake() ? val && s.ack() : val;
+  if (transferred) ++s.flits();
+  if constexpr (S::kMayFault) {
+    if (FaultModel* model = s.model())
+      model->commitEdge(val, transferred, s.bop(), s.eop());
+  }
 }
 
 // --- compiled-kernel lowering ------------------------------------------
@@ -72,14 +222,55 @@ void Link::clockEdge() {
 // reader and manufacture a false combinational cycle through the
 // receiving router's flow controller.
 //
-// A fault-injecting link lowers to the same units with fault-aware op
+// A link with a fault model lowers to the same units with fault-aware op
 // functions whose contexts add a pointer to its registered LinkFaultState;
-// plain links keep the plain ops, so fault-free networks pay nothing for
+// ideal links keep the plain ops, so fault-free networks pay nothing for
 // the fault path.
-
+//
 // Each op carries exactly the slices it touches: op contexts are the
 // interpreter's dominant memory traffic, so smaller structs mean fewer
 // cache lines streamed per simulated cycle.
+
+// The edge op's context: the ideal link's holds only what the transfer
+// count reads.
+struct Link::EdgeCtx {
+  sim::Slice srcVal, srcAck;  // srcAck: handshake only
+  bool handshake = true;
+  std::uint64_t* flits = nullptr;
+};
+
+// A faulted link's edge also samples the offered flit's framing and
+// advances its fault model.
+struct Link::FaultyEdgeCtx : EdgeCtx {
+  std::uint32_t srcWord = 0;
+  FaultModel* model = nullptr;
+};
+
+// Samples the same nets as WireSample from the settled arena.  For an
+// ideal link commitEdge() drops the fault step at compile time, so
+// bop(), eop() and model(), which its context lacks, are never
+// instantiated.
+template <bool kFaulty>
+struct Link::ArenaSample {
+  static constexpr bool kMayFault = kFaulty;
+  using Ctx = std::conditional_t<kFaulty, FaultyEdgeCtx, EdgeCtx>;
+  const std::uint64_t* w;
+  const Ctx* c;
+
+  bool val() const { return sim::opBit(w, c->srcVal); }
+  bool ack() const { return sim::opBit(w, c->srcAck); }
+  bool bop() const { return sim::opFlitBop(w, c->srcWord); }
+  bool eop() const { return sim::opFlitEop(w, c->srcWord); }
+  bool handshake() const { return c->handshake; }
+  std::uint64_t& flits() const { return *c->flits; }
+  FaultModel* model() const { return c->model; }
+};
+
+template <bool kFaulty>
+void Link::edgeOp(std::uint64_t* w, void* vctx) {
+  using S = ArenaSample<kFaulty>;
+  commitEdge(S{w, static_cast<const typename S::Ctx*>(vctx)});
+}
 
 namespace {
 
@@ -101,12 +292,6 @@ struct LinkVcFwdCtx {
 struct LinkVcRevCtx {
   int numVCs = 0;
   sim::Slice src[kMaxVCs], dst[kMaxVCs];
-};
-
-struct LinkEdgeCtx {
-  sim::Slice srcVal, srcAck;
-  bool handshake = true;
-  std::uint64_t* flits = nullptr;
 };
 
 // Fault-aware contexts: the plain context plus the link's fault state.
@@ -148,17 +333,7 @@ void linkVcReverse(std::uint64_t* w, void* vctx) {
     sim::opPutBit(w, c->src[v], sim::opBit(w, c->dst[v]));
 }
 
-void linkEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<LinkEdgeCtx*>(vctx);
-  const bool transferred =
-      c->handshake ? (sim::opBit(w, c->srcVal) && sim::opBit(w, c->srcAck))
-                   : sim::opBit(w, c->srcVal);
-  if (transferred) ++*c->flits;
-}
-
-// FaultyLink::evaluate() over the arena.  An active window presents
-// nothing downstream; otherwise the flit is copied and a payload flit
-// (not a header) carries the armed mask in its data bits.
+// Link::evaluate()'s forward half over the arena.
 void forwardFaulted(std::uint64_t* w, const LinkFwdCtx& f,
                     const LinkFaultState& fault) {
   if (fault.masked()) {
@@ -167,7 +342,7 @@ void forwardFaulted(std::uint64_t* w, const LinkFwdCtx& f,
     return;
   }
   sim::opCopyFlit(w, f.dstWord, f.srcWord);
-  if (!sim::opFlitBop(w, f.srcWord)) w[f.dstWord] ^= fault.armedMask;
+  w[f.dstWord] ^= fault.flip(sim::opFlitBop(w, f.srcWord));
   sim::opPutBit(w, f.dstVal, sim::opBit(w, f.srcVal));
 }
 
@@ -183,17 +358,13 @@ void faultyVcForward(std::uint64_t* w, void* vctx) {
                    c->fault->masked() ? 0 : sim::opWord32(w, c->plain.srcVc));
 }
 
-// Single VC: a StuckAck window holds ack low; a LinkDown window acks an
-// offered body flit (consuming it) and holds framing flits.
 void faultyReverse(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<FaultyRevCtx*>(vctx);
-  bool ack = sim::opBit(w, c->rev.dstAck);
-  if (c->fault->masked()) {
-    const bool body = !sim::opFlitBop(w, c->srcWord) &&
-                      !sim::opFlitEop(w, c->srcWord);
-    ack = !c->fault->stall && body && sim::opBit(w, c->srcVal);
-  }
-  sim::opPutBit(w, c->rev.srcAck, ack);
+  sim::opPutBit(w, c->rev.srcAck,
+                c->fault->ack(sim::opBit(w, c->rev.dstAck),
+                              sim::opBit(w, c->srcVal),
+                              sim::opFlitBop(w, c->srcWord),
+                              sim::opFlitEop(w, c->srcWord)));
 }
 
 // With VCs a window masks every vcFree level, so the sender cannot
@@ -209,23 +380,8 @@ void faultyVcFree(std::uint64_t* w, void* vctx) {
 }  // namespace
 
 bool Link::describe(sim::Lowering& lw) {
-  // Only an exact Link is pass-through wiring; a subclass that overrides
-  // evaluate()/transformData() without describing itself runs as a
-  // behavioural thunk.
-  if (typeid(*this) != typeid(Link)) return false;
-  describeCopies(lw, nullptr);
+  const LinkFaultState* fault = fault_ ? &fault_->state : nullptr;
 
-  LinkEdgeCtx edge;
-  edge.srcVal = lw.bit(src_->val);
-  edge.flits = &flitsTransferred_;
-  // With VCs a scheduled flit always transfers.
-  edge.handshake = flowControl_ == FlowControl::Handshake && numVCs_ == 1;
-  if (edge.handshake) edge.srcAck = lw.bit(src_->ack);
-  lw.edgeOp(&linkEdge, lw.ctx(edge));
-  return true;
-}
-
-void Link::describeCopies(sim::Lowering& lw, const LinkFaultState* fault) {
   LinkFwdCtx fwd;
   fwd.srcWord = lw.flitWord(src_->flit.data, src_->flit.bop, src_->flit.eop);
   fwd.dstWord = lw.flitWord(dst_->flit.data, dst_->flit.bop, dst_->flit.eop);
@@ -282,28 +438,45 @@ void Link::describeCopies(sim::Lowering& lw, const LinkFaultState* fault) {
     reverse(src_->vcFree, dst_->vcFree, fault);
     if (flowControl_ == FlowControl::CreditBased)
       reverse(src_->vcAck, dst_->vcAck, nullptr);
-    return;
+  } else {
+    LinkRevCtx rev;
+    rev.srcAck = lw.bit(src_->ack);
+    rev.dstAck = lw.bit(dst_->ack);
+    if (fault) {
+      lw.op(&faultyForward, lw.ctx(Faulty<LinkFwdCtx>{fwd, fault}),
+            std::move(fwdReads), std::move(fwdWrites));
+      FaultyRevCtx frev;
+      frev.rev = rev;
+      frev.srcWord = fwd.srcWord;
+      frev.srcVal = fwd.srcVal;
+      frev.fault = fault;
+      lw.op(&faultyReverse, lw.ctx(frev),
+            {&dst_->ack, &src_->val, &src_->flit.bop, &src_->flit.eop},
+            {&src_->ack});
+    } else {
+      lw.op(&linkForward, lw.ctx(fwd), std::move(fwdReads),
+            std::move(fwdWrites));
+      lw.op(&linkReverse, lw.ctx(rev), {&dst_->ack}, {&src_->ack});
+    }
   }
 
-  LinkRevCtx rev;
-  rev.srcAck = lw.bit(src_->ack);
-  rev.dstAck = lw.bit(dst_->ack);
-  if (!fault) {
-    lw.op(&linkForward, lw.ctx(fwd), std::move(fwdReads),
-          std::move(fwdWrites));
-    lw.op(&linkReverse, lw.ctx(rev), {&dst_->ack}, {&src_->ack});
-    return;
+  // The edge: one op over commitEdge(), in this link's clockEdgeAll()
+  // slot, so the RNG stream and every counter match clockEdge().
+  EdgeCtx edge;
+  edge.srcVal = fwd.srcVal;
+  edge.handshake = handshake();
+  if (edge.handshake) edge.srcAck = lw.bit(src_->ack);
+  edge.flits = &flitsTransferred_;
+  if (!fault_) {
+    lw.edgeOp(&edgeOp<false>, lw.ctx(edge));
+    return true;
   }
-  lw.op(&faultyForward, lw.ctx(Faulty<LinkFwdCtx>{fwd, fault}),
-        std::move(fwdReads), std::move(fwdWrites));
-  FaultyRevCtx frev;
-  frev.rev = rev;
-  frev.srcWord = fwd.srcWord;
-  frev.srcVal = fwd.srcVal;
-  frev.fault = fault;
-  lw.op(&faultyReverse, lw.ctx(frev),
-        {&dst_->ack, &src_->val, &src_->flit.bop, &src_->flit.eop},
-        {&src_->ack});
+  FaultyEdgeCtx faulty;
+  static_cast<EdgeCtx&>(faulty) = edge;
+  faulty.srcWord = fwd.srcWord;
+  faulty.model = &*fault_;
+  lw.edgeOp(&edgeOp<true>, lw.ctx(faulty));
+  return true;
 }
 
 }  // namespace rasoc::router

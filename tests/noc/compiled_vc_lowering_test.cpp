@@ -12,7 +12,7 @@
 //     that levelizes but computes the wrong function fails here too.
 //     The gate extends to the fault workload: an 8x8 torus with HLP
 //     parity, reliable transport, a fault campaign, telemetry and the flow
-//     tracer lowers to the same shape, every FaultyLink included.
+//     tracer lowers to the same shape, every faulted link included.
 //  2. Telemetry after the first settle — attaching VC channel metrics must
 //     invalidate the compiled program (Module::noteDescribeChanged), and
 //     the counters of a run whose telemetry was enabled after cycle 0 must

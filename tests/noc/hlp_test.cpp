@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "noc/network.hpp"
-#include "router/faulty_link.hpp"
+#include "router/link.hpp"
 #include "sim/simulator.hpp"
 
 namespace rasoc::noc {
@@ -129,10 +129,9 @@ TEST(FaultyLinkTest, CorruptionRateTracksProbability) {
 
 TEST(FaultyLinkTest, InvalidConfigThrows) {
   router::ChannelWires a, b;
-  EXPECT_THROW(router::FaultyLink("f", a, b, 0, 0.1, 1),
-               std::invalid_argument);
-  EXPECT_THROW(router::FaultyLink("f", a, b, 16, 1.5, 1),
-               std::invalid_argument);
+  router::Link link("f", a, b);
+  EXPECT_THROW(link.enableFaults(0, 0.1, 1), std::invalid_argument);
+  EXPECT_THROW(link.enableFaults(16, 1.5, 1), std::invalid_argument);
 }
 
 TEST(FaultyLinkTest, HeadersAreNeverCorrupted) {

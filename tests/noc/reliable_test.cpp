@@ -310,7 +310,7 @@ TEST(ReliableTransportTest, CorruptedFrameIsCountedAndDiscarded) {
   ASSERT_EQ(frames.size(), 1u);
   std::vector<std::uint32_t> words{0};
   words.insert(words.end(), frames[0].words.begin(), frames[0].words.end());
-  words[2] ^= 1u;  // single-bit payload corruption, as FaultyLink injects
+  words[2] ^= 1u;  // single-bit payload corruption, as a faulted link injects
   b.onWireWords(words, 0);
   EXPECT_TRUE(b.takeDeliveries().empty());
   EXPECT_EQ(b.stats().malformedFrames, 1u);

@@ -1,13 +1,13 @@
-// Link and FaultyLink unit tests over bare channel wires.
+// Link unit tests over bare channel wires, with and without a fault model.
 #include "router/link.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "router/faulty_link.hpp"
 #include "sim/compile.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -17,10 +17,9 @@ namespace {
 
 struct LinkRig {
   explicit LinkRig(double faultRate = -1.0, int dataBits = 16)
-      : link(faultRate < 0.0
-                 ? std::unique_ptr<Link>(new Link("link", src, dst))
-                 : std::unique_ptr<Link>(new FaultyLink(
-                       "flink", src, dst, dataBits, faultRate, 77))) {
+      : link(std::make_unique<Link>(faultRate < 0.0 ? "link" : "flink", src,
+                                    dst)) {
+    if (faultRate >= 0.0) link->enableFaults(dataBits, faultRate, 77);
     sim.add(*link);
     sim.reset();
   }
@@ -81,7 +80,7 @@ TEST(LinkTest, CountsOnlyAcknowledgedTransfers) {
 TEST(FaultyLinkUnitTest, AlwaysFlipCorruptsEveryPayloadFlit) {
   LinkRig rig(/*faultRate=*/1.0);
   for (int i = 0; i < 20; ++i) rig.transfer(0x0, /*bop=*/false, false);
-  auto* faulty = dynamic_cast<FaultyLink*>(rig.link.get());
+  auto* faulty = rig.link.get();
   ASSERT_NE(faulty, nullptr);
   EXPECT_EQ(faulty->flitsCorrupted(), 20u);
 }
@@ -111,7 +110,7 @@ TEST(FaultyLinkUnitTest, HeadersPassClean) {
   rig.sim.settle();
   EXPECT_EQ(rig.dst.flit.data.get(), 0x1234u);
   rig.sim.step();
-  auto* faulty = dynamic_cast<FaultyLink*>(rig.link.get());
+  auto* faulty = rig.link.get();
   EXPECT_EQ(faulty->flitsCorrupted(), 0u);
 }
 
@@ -151,27 +150,30 @@ TEST(FaultyLinkUnitTest, ResetRestoresDeterministicSequence) {
   EXPECT_EQ(first, second);
 }
 
-// One bare FaultyLink per settle kernel, its input wires driven at random
-// and its fault windows covering every kind (and a StuckAck inside a
-// LinkDown), so every branch of the lowered ops meets the behavioural
-// evaluate() and clockEdge() on the same inputs.
+// One bare link per settle kernel, its input wires driven at random.
+// With `windows` the link has a fault model whose windows cover every kind
+// (and a StuckAck inside a LinkDown), so every branch of the lowered ops
+// meets the behavioural evaluate() and clockEdge() on the same inputs;
+// without, it is an ideal link, which pins the plain copy ops and the
+// shared edge body.
 struct KernelTwin {
   KernelTwin(sim::Simulator::Kernel kernel, FlowControl flowControl,
-             int numVCs, const std::vector<FaultWindow>& windows)
-      : link("flink", src, dst, 16, 0.05, 91, flowControl, numVCs) {
-    link.setWindows(windows);
+             int numVCs, const std::optional<std::vector<FaultWindow>>& windows)
+      : link("flink", src, dst, flowControl, numVCs) {
+    if (windows) link.enableFaults(16, 0.05, 91, *windows);
     sim.setKernel(kernel);
     sim.add(link);
     sim.reset();
   }
 
   ChannelWires src, dst;
-  FaultyLink link;
+  Link link;
   sim::Simulator sim;
 };
 
-void expectCompiledMatchesNaive(FlowControl flowControl, int numVCs,
-                                const std::vector<FaultWindow>& windows) {
+void expectCompiledMatchesNaive(
+    FlowControl flowControl, int numVCs,
+    const std::optional<std::vector<FaultWindow>>& windows) {
   KernelTwin naive(sim::Simulator::Kernel::Naive, flowControl, numVCs,
                    windows);
   KernelTwin compiled(sim::Simulator::Kernel::Compiled, flowControl, numVCs,
@@ -228,12 +230,19 @@ void expectCompiledMatchesNaive(FlowControl flowControl, int numVCs,
     ASSERT_EQ(naive.link.flitsDropped(), compiled.link.flitsDropped());
     ASSERT_EQ(naive.link.stallCycles(), compiled.link.stallCycles());
   }
-  EXPECT_GT(compiled.link.flitsCorrupted(), 0u);
-  if (windows.size() > 1) {
-    EXPECT_GT(compiled.link.stallCycles(), 0u);
-    // Only a single-VC LinkDown window consumes body flits.
-    if (numVCs == 1) {
-      EXPECT_GT(compiled.link.flitsDropped(), 0u);
+  EXPECT_GT(compiled.link.flitsTransferred(), 0u);
+  if (!windows) {
+    EXPECT_EQ(compiled.link.flitsCorrupted(), 0u);
+    EXPECT_EQ(compiled.link.flitsDropped(), 0u);
+    EXPECT_EQ(compiled.link.stallCycles(), 0u);
+  } else {
+    EXPECT_GT(compiled.link.flitsCorrupted(), 0u);
+    if (windows->size() > 1) {
+      EXPECT_GT(compiled.link.stallCycles(), 0u);
+      // Only a single-VC LinkDown window consumes body flits.
+      if (numVCs == 1) {
+        EXPECT_GT(compiled.link.flitsDropped(), 0u);
+      }
     }
   }
   const sim::CompiledProgram* prog = compiled.sim.compiledProgram();
@@ -258,11 +267,25 @@ TEST(FaultyLinkUnitTest, CompiledOpsMatchTheBehaviouralLink) {
   {
     SCOPED_TRACE("credit vc1, corruption only");
     expectCompiledMatchesNaive(FlowControl::CreditBased, 1,
-                               {everyWindowKind().front()});
+                               std::vector{everyWindowKind().front()});
   }
   for (FlowControl fc : {FlowControl::Handshake, FlowControl::CreditBased}) {
     SCOPED_TRACE("vc2");
     expectCompiledMatchesNaive(fc, 2, everyWindowKind());
+  }
+  // Ideal links: the plain copy ops and edge op against evaluate() and
+  // clockEdge(), with every fault counter at zero.
+  {
+    SCOPED_TRACE("ideal handshake vc1");
+    expectCompiledMatchesNaive(FlowControl::Handshake, 1, std::nullopt);
+  }
+  {
+    SCOPED_TRACE("ideal credit vc1");
+    expectCompiledMatchesNaive(FlowControl::CreditBased, 1, std::nullopt);
+  }
+  for (FlowControl fc : {FlowControl::Handshake, FlowControl::CreditBased}) {
+    SCOPED_TRACE("ideal vc2");
+    expectCompiledMatchesNaive(fc, 2, std::nullopt);
   }
 }
 
